@@ -151,10 +151,12 @@ func BenchmarkFig10K8(b *testing.B) {
 
 // k16Cfg is the shared configuration of the k=16 scale benchmarks: a
 // 1024-host, 320-switch fat-tree at packet fidelity. The fluid engine
-// folds the 240 background elephants and ECMPQueries routes the ~1M query
-// host pairs by direct hash-probed path construction (enumerating 64
-// candidate paths per pair through the consolidation placer would dominate
-// the run). Query traffic itself stays packet-level.
+// folds the 240 background elephants and ECMPQueries routes query pairs
+// by direct hash-probed path construction (enumerating 64 candidate paths
+// per pair through the consolidation placer would dominate the run): the
+// sequential engine resolves only the pairs the queries use, on demand,
+// while the sharded engine precomputes all ~1M pair routes. Query traffic
+// itself stays packet-level.
 func k16Cfg(shards int) experiments.NetLatencyConfig {
 	return experiments.NetLatencyConfig{
 		DurationS: 0.2, K: 16, Fluid: true, ECMPQueries: true, Shards: shards,
@@ -195,7 +197,7 @@ func BenchmarkFig10K16Sharded(b *testing.B) {
 
 // BenchmarkFig10K32 regenerates a Fig 10 cell on the 32-ary fat-tree:
 // 8192 hosts, 1280 switches, ~67M ordered host pairs. This scale is only
-// reachable through the flyweight route plane — ECMP routing flips to the
+// reachable through the flyweight route plane — ECMP routing uses the
 // on-demand resolver (no precomputed all-pairs route table) and each
 // resolved route interns into the shared segment arena as a 12-byte ref,
 // so the route-plane footprint is the segments actually exercised by

@@ -214,13 +214,15 @@ type NetLatencyConfig struct {
 	// ECMPQueries routes query-pair traffic directly over deterministic
 	// hash-selected ECMP shortest paths restricted to the active set,
 	// instead of handing one flow per ordered host pair to the
-	// consolidation placer. Placement cost for query traffic drops from
-	// O(hosts² × paths) to O(hosts²), which is what makes k ≥ 16 fabrics
-	// (≥ 1M host pairs) runnable; background flows are still placed by the
-	// consolidator. Above ecmpLazyPairs ordered pairs (k=32's 8192 hosts)
-	// the sequential engine skips even the O(hosts²) precompute and
-	// resolves pair routes on demand at first use. Off by default: the
-	// figure experiments keep the paper's reservation-aware placement.
+	// consolidation placer; background flows are still placed by the
+	// consolidator. The sequential engine resolves each pair's route on
+	// demand the first time the pair carries traffic, so only the pairs a
+	// run uses cost anything — what makes k ≥ 16 fabrics (≥ 1M host
+	// pairs) runnable. The sharded engine cannot resolve on demand and
+	// precomputes all hosts² pair routes instead; both pick the same
+	// paths. A used pair with no active ECMP path fails the cell with
+	// ErrInfeasible. Off by default: the figure experiments keep the
+	// paper's reservation-aware placement.
 	ECMPQueries bool
 }
 
@@ -257,16 +259,17 @@ func (c *NetLatencyConfig) shardCount(k int) int {
 	return n
 }
 
-// ecmpLazyPairs is the ordered-host-pair count above which ECMPQueries
-// stops precomputing the all-pairs route table and installs an on-demand
-// route resolver instead (netsim.SetRouteResolver): only pairs that
-// actually exchange traffic ever intern a route. k=16 (≈1M pairs) stays
-// eager — its figures and benchmarks are pinned byte-identical across
-// PRs — while k=32 (≈67M pairs) resolves lazily, which is what makes the
-// 8192-host fabric simulable at all. Lazy resolution is sequential-only
-// (the sharded engine rejects resolvers: interning would mutate the
-// route map and arena from shard contexts).
-const ecmpLazyPairs = 4 << 20
+// legacyBgIDMaxPairs decides where background flow IDs start. Every
+// configuration numbers its elephants from the historical base
+// legacyBgIDBase, except sequential-engine ECMP runs on fabrics with more
+// than legacyBgIDMaxPairs ordered host pairs (k ≥ 24), which start at
+// hosts², outside the query-pair ID space. The historical base lies inside
+// that space once hosts² > 50000 (10 ≤ k ≤ 20), and the pinned k=16
+// figures depend on the resulting overlap (see resolveECMPOnDemand).
+const (
+	legacyBgIDMaxPairs = 4 << 20
+	legacyBgIDBase     = 50000
+)
 
 // ecmpPath returns the deterministic hash-probed active ECMP shortest
 // path for ordered host pair (i, j), built into buf's backing (pass the
@@ -291,13 +294,12 @@ func ecmpPath(ft *fattree.FatTree, active *topology.ActiveSet, i, j int, buf top
 }
 
 // ecmpQueryRoutes installs one active ECMP shortest path per ordered host
-// pair, chosen by a deterministic hash probe over the canonical path
-// enumeration (fattree.PathByIndex) so reruns and shard counts agree.
-// With the interned route plane the whole table costs one small RouteRef
-// per pair plus the shared segment arena — no per-pair hop records.
+// pair up front, chosen by the same hash probe the on-demand resolver
+// uses. Only the sharded engine needs it: shards cannot intern routes
+// from traffic context. With the interned route plane the whole table
+// costs one small RouteRef per pair plus the shared segment arena.
 func ecmpQueryRoutes(net *netsim.Network, cl *cluster.Cluster, ft *fattree.FatTree, active *topology.ActiveSet) error {
 	hosts := ft.Hosts
-	reserveEagerECMP(net, len(hosts))
 	var scratch topology.Path
 	for i := range hosts {
 		for j := range hosts {
@@ -322,12 +324,65 @@ func ecmpQueryRoutes(net *netsim.Network, cl *cluster.Cluster, ft *fattree.FatTr
 // are dense in [0, hosts²), so the dense route tier covers every flow;
 // segment/hop counts are sized from the measured interning ratio
 // (~pairs/7 segments, ~pairs/2.5 hops at k=16) with ~20% slack —
-// undershoot just falls back to append growth. Idempotent: a second call
-// with the same bound is a no-op.
+// undershoot just falls back to append growth.
 func reserveEagerECMP(net *netsim.Network, hosts int) {
 	pairs := hosts * hosts
 	net.ReserveRoutes(pairs)
 	net.Arena().Reserve(pairs/6, pairs/2)
+}
+
+// resolveECMPOnDemand installs the sequential engine's on-demand query
+// route plane: a pair's ECMP path is built and interned the first time
+// the pair carries traffic. A pair with no active path resolves to nil
+// and its messages drop; the returned func reports the first such pair
+// as ErrInfeasible, for the caller to check after the run.
+//
+// Background flows whose IDs fall inside the pair space first get their
+// pair's ECMP route in place of their placed one, exactly as the
+// precomputed all-pairs sweep overwrites them. A diagonal ID (i == j) is
+// no pair and keeps its placed route.
+func resolveECMPOnDemand(net *netsim.Network, ft *fattree.FatTree, act *topology.ActiveSet, bgFlows []flow.Flow) (func() error, error) {
+	hosts := int64(len(ft.Hosts))
+	var scratch topology.Path
+	var miss error
+	// pairPath resolves pair ID q: nil for an ID that names no pair
+	// (outside [0, hosts²) or diagonal), ErrInfeasible for a pair with no
+	// active path.
+	pairPath := func(q int64) (topology.Path, error) {
+		if q < 0 || q >= hosts*hosts || q/hosts == q%hosts {
+			return nil, nil
+		}
+		i, j := int(q/hosts), int(q%hosts)
+		p, ok := ecmpPath(ft, act, i, j, scratch)
+		scratch = p
+		if !ok {
+			return nil, fmt.Errorf("%w: no active ECMP path host %d→%d", ErrInfeasible, i, j)
+		}
+		return p, nil
+	}
+	for _, f := range bgFlows {
+		p, err := pairPath(int64(f.ID))
+		if err != nil {
+			return nil, err
+		}
+		if p == nil {
+			continue
+		}
+		if err := net.SetRoute(f.ID, p); err != nil {
+			return nil, err
+		}
+	}
+	err := net.SetRouteResolver(func(qf flow.ID) topology.Path {
+		p, err := pairPath(int64(qf))
+		if err != nil && miss == nil {
+			miss = err
+		}
+		return p
+	})
+	if err != nil {
+		return nil, err
+	}
+	return func() error { return miss }, nil
 }
 
 // ErrInfeasible reports that a flow set could not be placed at the
@@ -377,18 +432,11 @@ func measureNetwork(active *topology.ActiveSet, ft *fattree.FatTree, bgUtil floa
 		return nil, 0, err
 	}
 
-	// Background: all ordered pod pairs. The historical flow-ID base 50000
-	// sits INSIDE the query-pair ID space (cluster.FlowID(i, j) = i*hosts+j)
-	// once hosts² > 50000, so eager ECMP route installation overwrites the
-	// elephants' placed routes with pair routes at k=16 — an artifact baked
-	// into the pinned k=16 figures and benchmarks, so it must stay. Lazy
-	// ECMP mode has no such pin (it is what unlocks k=32 in this repo) and
-	// moves the elephants out of the pair space entirely.
+	// Background: all ordered pod pairs.
 	hosts := len(ft.Hosts)
-	lazyECMP := cfg.ECMPQueries && shards <= 1 && hosts*hosts > ecmpLazyPairs
 	var bgFlows []flow.Flow
-	fid := flow.ID(50000)
-	if lazyECMP {
+	fid := flow.ID(legacyBgIDBase)
+	if cfg.ECMPQueries && shards <= 1 && hosts*hosts > legacyBgIDMaxPairs {
 		fid = flow.ID(hosts * hosts)
 	}
 	k := ft.Cfg.K
@@ -439,7 +487,8 @@ func measureNetwork(active *topology.ActiveSet, ft *fattree.FatTree, bgUtil floa
 	} else {
 		net.SetActive(placed.Active)
 	}
-	if cfg.ECMPQueries && !lazyECMP {
+	eagerECMP := cfg.ECMPQueries && shards > 1
+	if eagerECMP {
 		// Presize the route table and arena BEFORE the first interning
 		// (InstallRoutes below): the eager all-pairs sweep is about to
 		// install hosts² routes, and the arena presizes its lookup map
@@ -449,38 +498,18 @@ func measureNetwork(active *topology.ActiveSet, ft *fattree.FatTree, bgUtil floa
 	if err := net.InstallRoutes(placed.Paths); err != nil {
 		return nil, 0, err
 	}
+	missed := func() error { return nil }
 	if cfg.ECMPQueries {
 		act := active
 		if act == nil {
 			act = placed.Active
 		}
-		if lazyECMP {
-			// On-demand route plane: pair routes intern at first use. A
-			// pair with no active ECMP path resolves to nil and its
-			// queries drop — the lazy analogue of eager mode's up-front
-			// infeasibility error, reported by the drop counters instead.
-			var scratch topology.Path
-			err := net.SetRouteResolver(func(qf flow.ID) topology.Path {
-				q := int64(qf)
-				hh := int64(hosts)
-				if q < 0 || q >= hh*hh {
-					return nil
-				}
-				i, j := int(q/hh), int(q%hh)
-				if i == j {
-					return nil
-				}
-				p, ok := ecmpPath(ft, act, i, j, scratch)
-				scratch = p
-				if !ok {
-					return nil
-				}
-				return p
-			})
-			if err != nil {
-				return nil, 0, err
-			}
-		} else if err := ecmpQueryRoutes(net, cl, ft, act); err != nil {
+		if eagerECMP {
+			err = ecmpQueryRoutes(net, cl, ft, act)
+		} else {
+			missed, err = resolveECMPOnDemand(net, ft, act, bgFlows)
+		}
+		if err != nil {
 			return nil, 0, err
 		}
 	}
@@ -499,6 +528,9 @@ func measureNetwork(active *topology.ActiveSet, ft *fattree.FatTree, bgUtil floa
 		b.Stop()
 	}
 	run(cfg.DurationS + 0.5)
+	if err := missed(); err != nil {
+		return nil, 0, err
+	}
 	return cl.Stats(), placed.Active.ActiveSwitches(), nil
 }
 

@@ -46,8 +46,11 @@ type FatTree struct {
 	Aggs  []topology.NodeID // pod-major: Aggs[p*(k/2)+a]
 	Cores []topology.NodeID // Cores[g*(k/2)+i]: group g connects to agg index g in every pod
 
-	hostPod  map[topology.NodeID]int
-	hostEdge map[topology.NodeID]int // edge index within pod
+	// hostPod and hostEdge hold each host's pod and edge index within the
+	// pod, indexed by NodeID (switch entries stay 0). ECMP path probes
+	// read them for both endpoints on every candidate.
+	hostPod  []int32
+	hostEdge []int32
 }
 
 // New builds a fat-tree from cfg.
@@ -61,11 +64,12 @@ func New(cfg Config) (*FatTree, error) {
 	k := cfg.K
 	half := k / 2
 	g := topology.NewGraph()
+	nodes := k*k*k/4 + k*k + k*k/4 // hosts + edge/agg switches + cores
 	ft := &FatTree{
 		Cfg:      cfg,
 		Graph:    g,
-		hostPod:  make(map[topology.NodeID]int),
-		hostEdge: make(map[topology.NodeID]int),
+		hostPod:  make([]int32, nodes),
+		hostEdge: make([]int32, nodes),
 	}
 
 	// Core switches: (k/2)² of them, in k/2 groups of k/2. Core
@@ -87,8 +91,8 @@ func New(cfg Config) (*FatTree, error) {
 			for h := 0; h < half; h++ {
 				hid := g.AddNode(fmt.Sprintf("host_%d_%d_%d", p, e, h), topology.Host, 0)
 				ft.Hosts = append(ft.Hosts, hid)
-				ft.hostPod[hid] = p
-				ft.hostEdge[hid] = e
+				ft.hostPod[hid] = int32(p)
+				ft.hostEdge[hid] = int32(e)
 				if _, err := g.AddLink(hid, id, cfg.LinkCapacityBps, cfg.LinkPowerW); err != nil {
 					return nil, err
 				}
@@ -143,7 +147,7 @@ func (ft *FatTree) Core(group, idx int) topology.NodeID {
 }
 
 // HostPod returns the pod of a host.
-func (ft *FatTree) HostPod(h topology.NodeID) int { return ft.hostPod[h] }
+func (ft *FatTree) HostPod(h topology.NodeID) int { return int(ft.hostPod[h]) }
 
 // NumSwitches returns the total switch count.
 func (ft *FatTree) NumSwitches() int {
@@ -161,8 +165,8 @@ func (ft *FatTree) Paths(src, dst topology.NodeID) []topology.Path {
 		return nil
 	}
 	half := ft.Cfg.K / 2
-	sp, se := ft.hostPod[src], ft.hostEdge[src]
-	dp, de := ft.hostPod[dst], ft.hostEdge[dst]
+	sp, se := int(ft.hostPod[src]), int(ft.hostEdge[src])
+	dp, de := int(ft.hostPod[dst]), int(ft.hostEdge[dst])
 	if sp == dp && se == de {
 		return []topology.Path{{src, ft.Edge(sp, se), dst}}
 	}

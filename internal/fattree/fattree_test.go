@@ -50,6 +50,14 @@ func TestStructureScaling(t *testing.T) {
 		if !topology.NewActiveSet(ft.Graph).HostsConnected() {
 			t.Fatalf("k=%d disconnected", k)
 		}
+		if n := ft.Graph.NumNodes(); len(ft.hostPod) != n || len(ft.hostEdge) != n {
+			t.Fatalf("k=%d host coordinates sized %d/%d for %d nodes", k, len(ft.hostPod), len(ft.hostEdge), n)
+		}
+		for i, h := range ft.Hosts {
+			if p := i / (k * k / 4); ft.HostPod(h) != p {
+				t.Fatalf("k=%d host %d in pod %d, want %d", k, i, ft.HostPod(h), p)
+			}
+		}
 	}
 }
 

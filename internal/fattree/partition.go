@@ -71,8 +71,8 @@ func (ft *FatTree) PathByIndex(src, dst topology.NodeID, idx int) topology.Path 
 // pair — allocate nothing once the scratch has grown to path length.
 func (ft *FatTree) PathByIndexInto(src, dst topology.NodeID, idx int, buf topology.Path) topology.Path {
 	half := ft.Cfg.K / 2
-	sp, se := ft.hostPod[src], ft.hostEdge[src]
-	dp, de := ft.hostPod[dst], ft.hostEdge[dst]
+	sp, se := int(ft.hostPod[src]), int(ft.hostEdge[src])
+	dp, de := int(ft.hostPod[dst]), int(ft.hostEdge[dst])
 	buf = buf[:0]
 	if sp == dp && se == de {
 		return append(buf, src, ft.Edge(sp, se), dst)

@@ -86,12 +86,11 @@ type Graph struct {
 	nodes []Node
 	links []Link
 	adj   [][]LinkID
-	index map[[2]NodeID]LinkID
 }
 
 // NewGraph returns an empty graph.
 func NewGraph() *Graph {
-	return &Graph{index: make(map[[2]NodeID]LinkID)}
+	return &Graph{}
 }
 
 // AddNode appends a node and returns its ID.
@@ -108,23 +107,14 @@ func (g *Graph) AddLink(a, b NodeID, capacityBps, powerW float64) (LinkID, error
 	if a == b {
 		return 0, fmt.Errorf("topology: self-loop on node %d", a)
 	}
-	key := linkKey(a, b)
-	if _, dup := g.index[key]; dup {
+	if _, dup := g.FindLink(a, b); dup {
 		return 0, fmt.Errorf("topology: duplicate link %s-%s", g.nodes[a].Name, g.nodes[b].Name)
 	}
 	id := LinkID(len(g.links))
 	g.links = append(g.links, Link{ID: id, A: a, B: b, CapacityBps: capacityBps, PowerW: powerW})
 	g.adj[a] = append(g.adj[a], id)
 	g.adj[b] = append(g.adj[b], id)
-	g.index[key] = id
 	return id, nil
-}
-
-func linkKey(a, b NodeID) [2]NodeID {
-	if a > b {
-		a, b = b, a
-	}
-	return [2]NodeID{a, b}
 }
 
 // NumNodes returns the node count.
@@ -148,10 +138,23 @@ func (g *Graph) Links() []Link { return g.links }
 // LinksAt returns the IDs of links incident to n (shared slice).
 func (g *Graph) LinksAt(n NodeID) []LinkID { return g.adj[n] }
 
-// FindLink returns the link between a and b if one exists.
+// FindLink returns the link between a and b if one exists. It scans the
+// incidence list of the lower-degree endpoint, so a host's access hop
+// costs one comparison and a switch-to-switch hop at most one switch's
+// port count; out-of-range nodes have no links.
 func (g *Graph) FindLink(a, b NodeID) (LinkID, bool) {
-	id, ok := g.index[linkKey(a, b)]
-	return id, ok
+	if a < 0 || b < 0 || int(a) >= len(g.adj) || int(b) >= len(g.adj) {
+		return 0, false
+	}
+	if len(g.adj[b]) < len(g.adj[a]) {
+		a, b = b, a
+	}
+	for _, id := range g.adj[a] {
+		if g.links[id].Other(a) == b {
+			return id, true
+		}
+	}
+	return 0, false
 }
 
 // Path is a node sequence from source to destination host. Consecutive

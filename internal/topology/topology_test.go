@@ -61,6 +61,14 @@ func TestFindLinkAndOther(t *testing.T) {
 	if _, ok := g.FindLink(n[0], n[5]); ok {
 		t.Fatal("phantom link")
 	}
+	if rid, ok := g.FindLink(n[2], n[1]); !ok || rid != id {
+		t.Fatalf("reversed lookup = %d,%v, want %d,true", rid, ok, id)
+	}
+	for _, pair := range [][2]NodeID{{n[1], n[1]}, {-1, n[1]}, {n[1], NodeID(len(n))}, {NodeID(len(n)), -1}} {
+		if _, ok := g.FindLink(pair[0], pair[1]); ok {
+			t.Fatalf("FindLink%v found a link", pair)
+		}
+	}
 }
 
 func TestPathLinksAndValid(t *testing.T) {
