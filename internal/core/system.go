@@ -178,13 +178,13 @@ func (s *System) Start() error {
 	if err := s.Controller.Start(); err != nil {
 		return err
 	}
+	specs := make([]netsim.BackgroundSpec, len(s.bgFlows))
 	for i, f := range s.bgFlows {
-		f := f
-		stream := rng.Derive(s.cfg.Seed, fmt.Sprintf("bg-%d", i))
-		s.backgrounds = append(s.backgrounds, s.Net.StartBackground(f.ID, func() float64 {
+		specs[i] = netsim.BackgroundSpec{ID: f.ID, Rate: func() float64 {
 			return s.cfg.BgFraction(s.Eng.Now()) * s.FT.Cfg.LinkCapacityBps
-		}, stream))
+		}, Stream: rng.Derive(s.cfg.Seed, fmt.Sprintf("bg-%d", i))}
 	}
+	s.backgrounds = append(s.backgrounds, s.Net.StartBackgrounds(specs)...)
 	sampler := workload.NewSampler(s.Cluster.Cfg.ServiceDist, s.cfg.Seed+7)
 	s.stopQueries = s.Cluster.StartPoisson(func() float64 {
 		return s.cfg.QueryRate(s.Eng.Now())
@@ -221,9 +221,7 @@ func (s *System) Stop() {
 	if s.stopQueries != nil {
 		s.stopQueries()
 	}
-	for _, b := range s.backgrounds {
-		b.Stop()
-	}
+	s.Net.StopBackgrounds(s.backgrounds)
 	s.Controller.Stop()
 }
 

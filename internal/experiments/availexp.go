@@ -262,12 +262,12 @@ func availabilityCell(failRate float64, cfg AvailabilityConfig, seed int64) (Ava
 		return row, err
 	}
 
-	var bgs []*netsim.Background
+	specs := make([]netsim.BackgroundSpec, len(bgFlows))
 	for bi, f := range bgFlows {
-		f := f
-		bgs = append(bgs, net.StartBackground(f.ID, func() float64 { return f.DemandBps },
-			rng.Derive(seed, fmt.Sprintf("avail-bg-%d", bi))))
+		specs[bi] = netsim.BackgroundSpec{ID: f.ID, Rate: func() float64 { return f.DemandBps },
+			Stream: rng.Derive(seed, fmt.Sprintf("avail-bg-%d", bi))}
 	}
+	bgs := net.StartBackgrounds(specs)
 	// Optional flash crowd on top of the faults: a surge spanning the
 	// middle half of the run. An empty train multiplies by exactly 1, so
 	// the fault-only sweep is untouched.
@@ -286,9 +286,7 @@ func availabilityCell(failRate float64, cfg AvailabilityConfig, seed int64) (Ava
 	eng.Run(cfg.DurationS)
 	stop()
 	ctl.Stop()
-	for _, b := range bgs {
-		b.Stop()
-	}
+	net.StopBackgrounds(bgs)
 	// Drain everything: in-flight packets, retry timers, repair events.
 	// Afterwards every query has terminated, so Orphans must be zero.
 	eng.RunAll()

@@ -514,19 +514,17 @@ func measureNetwork(active *topology.ActiveSet, ft *fattree.FatTree, bgUtil floa
 		}
 	}
 
-	var bgs []*netsim.Background
+	specs := make([]netsim.BackgroundSpec, len(bgFlows))
 	for i, f := range bgFlows {
-		f := f
-		bgs = append(bgs, net.StartBackground(f.ID, func() float64 { return f.DemandBps },
-			rng.Derive(cfg.Seed, fmt.Sprintf("bg-%d", i))))
+		specs[i] = netsim.BackgroundSpec{ID: f.ID, Rate: func() float64 { return f.DemandBps },
+			Stream: rng.Derive(cfg.Seed, fmt.Sprintf("bg-%d", i))}
 	}
+	bgs := net.StartBackgrounds(specs)
 	sampler := workload.NewSampler(d, cfg.Seed+5)
 	stop := cl.StartPoisson(func() float64 { return cfg.QueryRate }, sampler.Draw, cfg.Seed+11)
 	run(cfg.DurationS)
 	stop()
-	for _, b := range bgs {
-		b.Stop()
-	}
+	net.StopBackgrounds(bgs)
 	run(cfg.DurationS + 0.5)
 	if err := missed(); err != nil {
 		return nil, 0, err

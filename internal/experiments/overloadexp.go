@@ -332,16 +332,16 @@ func overloadCell(mult float64, admission bool, cfg OverloadConfig, seed int64) 
 		}
 	}
 
-	var bgs []*netsim.Background
+	specs := make([]netsim.BackgroundSpec, len(bgFlows))
 	for bi, f := range bgFlows {
-		f := f
-		bgs = append(bgs, net.StartBackground(f.ID, func() float64 {
+		specs[bi] = netsim.BackgroundSpec{ID: f.ID, Rate: func() float64 {
 			if admission && cl.Deferring() {
 				return 0 // defer stage: background yields before queries shed
 			}
 			return f.DemandBps
-		}, rng.Derive(seed, fmt.Sprintf("overload-bg-%d", bi))))
+		}, Stream: rng.Derive(seed, fmt.Sprintf("overload-bg-%d", bi))}
 	}
+	bgs := net.StartBackgrounds(specs)
 	sampler := workload.NewSampler(d, seed+5)
 	stop := cl.StartPoisson(rate, sampler.Draw, seed+11)
 
@@ -370,9 +370,7 @@ func overloadCell(mult float64, admission bool, cfg OverloadConfig, seed int64) 
 	eng.Run(cfg.DurationS)
 	stop()
 	ctl.Stop()
-	for _, b := range bgs {
-		b.Stop()
-	}
+	net.StopBackgrounds(bgs)
 	// Drain everything: queued sub-queries, in-flight packets, retries.
 	// Afterwards every query has terminated, so Orphans must be zero.
 	eng.RunAll()

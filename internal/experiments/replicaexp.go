@@ -303,12 +303,12 @@ func replicaCell(r int, sel cluster.SelectionPolicy, failRate float64, cfg Repli
 		return row, err
 	}
 
-	var bgs []*netsim.Background
+	specs := make([]netsim.BackgroundSpec, len(bgFlows))
 	for bi, f := range bgFlows {
-		f := f
-		bgs = append(bgs, net.StartBackground(f.ID, func() float64 { return f.DemandBps },
-			rng.Derive(seed, fmt.Sprintf("replica-bg-%d", bi))))
+		specs[bi] = netsim.BackgroundSpec{ID: f.ID, Rate: func() float64 { return f.DemandBps },
+			Stream: rng.Derive(seed, fmt.Sprintf("replica-bg-%d", bi))}
 	}
+	bgs := net.StartBackgrounds(specs)
 	sampler := workload.NewSampler(d, seed+5)
 	stop := cl.StartPoisson(func() float64 { return cfg.QueryRate }, sampler.Draw, seed+11)
 
@@ -332,9 +332,7 @@ func replicaCell(r int, sel cluster.SelectionPolicy, failRate float64, cfg Repli
 	eng.Run(cfg.DurationS)
 	stop()
 	ctl.Stop()
-	for _, b := range bgs {
-		b.Stop()
-	}
+	net.StopBackgrounds(bgs)
 	// Drain everything: in-flight packets, hedge and retry timers, repair
 	// events. Afterwards every query and every hedge has terminated.
 	eng.RunAll()

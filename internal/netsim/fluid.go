@@ -39,6 +39,13 @@ package netsim
 //
 //   - Byte accrual floors to whole bytes and carries the remainder, so
 //     cumulative counters never drift by more than a byte per source.
+//
+// Cost model: a reevaluation pass walks the registered sources and only
+// the directions that carry state — the ones given offered load, the
+// demoted ones and the ones holding a reservation — never the whole link
+// array, so an all-to-all elephant set on a large fabric pays for the
+// hops its routes cross, not for the fabric. A group push
+// (StartBackgrounds, StopBackgrounds, InstallRoutes) is one pass.
 
 import (
 	"math"
@@ -100,6 +107,15 @@ type fluidState struct {
 	// offered accumulates per-direction offered background rate during a
 	// reevaluation pass (retained scratch, one slot per direction).
 	offered []float64
+	// The sparse direction lists a pass works from, each retained across
+	// passes: touched holds the directions given nonzero offered load in
+	// the last pass, demoted the directions whose knee flag is set, and
+	// reserved the directions holding a nonzero fluidBps. Every other
+	// direction has zero offered load, a clear knee flag and no
+	// reservation, so a pass clears and checks only these entries.
+	touched  []int32
+	demoted  []int32
+	reserved []int32
 	// tickArmed guards the single periodic reevaluation event; onTick is
 	// its one closure.
 	tickArmed bool
@@ -113,13 +129,18 @@ func (n *Network) fluidEnabled() bool {
 	return n.Cfg.FluidBackground && !n.Cfg.PriorityQueueing
 }
 
-// startFluidBackground registers a source with the hybrid engine. The
-// source starts in packet mode and the synchronous reevaluation decides —
-// against current routes, rates and knee state — whether it folds into the
-// fluid reservations immediately.
-func (n *Network) startFluidBackground(b *Background, fid flow.ID, rate func() float64, stream *rng.Stream, bits float64) {
-	if n.fluid == nil {
-		f := &fluidState{
+// startFluidBackgrounds registers a group of sources with the hybrid
+// engine as one push. Every source starts in packet mode and one
+// synchronous reevaluation decides — against current routes, rates and
+// knee state — which of them fold into the fluid reservations at once.
+// Registrations at one instant only add offered load, so the single pass
+// demotes exactly the directions a pass per registration would (see
+// StartBackgrounds for the proviso), and the sources it leaves in packet
+// mode start their loops in spec order.
+func (n *Network) startFluidBackgrounds(bs []*Background, specs []BackgroundSpec, bits float64) {
+	f := n.fluid
+	if f == nil {
+		f = &fluidState{
 			byFid:   make(map[flow.ID]*fluidSource),
 			offered: make([]float64, len(n.links)),
 		}
@@ -134,6 +155,30 @@ func (n *Network) startFluidBackground(b *Background, fid flow.ID, rate func() f
 		}
 		n.fluid = f
 	}
+	first := len(f.srcs)
+	for i, sp := range specs {
+		n.addFluidSource(bs[i], sp.ID, sp.Rate, sp.Stream, bits)
+	}
+	added := f.srcs[first:]
+	n.fluidReevaluate()
+	for i, s := range added {
+		if !s.fluid && !s.hasPend {
+			// Reevaluation left the source in packet mode: start its loop
+			// (first draw identical to the classic packet-mode source).
+			s.arm()
+		}
+		if i == 0 && !f.tickArmed {
+			// Armed where a lone registration would arm it, so a zero-rate
+			// source's 10 ms re-poll orders against the tick the same way.
+			f.tickArmed = true
+			n.eng.After(n.Cfg.FluidUpdateS, f.onTick)
+		}
+	}
+}
+
+// addFluidSource builds one source's packet-mode closures and appends it
+// to the registry; the caller runs the reevaluation.
+func (n *Network) addFluidSource(b *Background, fid flow.ID, rate func() float64, stream *rng.Stream, bits float64) {
 	s := &fluidSource{fid: fid, rate: rate, stream: stream, b: b}
 	s.seng = n.eng
 	if n.shd != nil {
@@ -191,44 +236,49 @@ func (n *Network) startFluidBackground(b *Background, fid flow.ID, rate func() f
 	}
 	n.fluid.srcs = append(n.fluid.srcs, s)
 	n.fluid.byFid[fid] = s
-	n.fluidReevaluate()
-	if !s.fluid && !s.hasPend {
-		// Reevaluation left the source in packet mode: start its loop
-		// (first draw identical to the classic packet-mode source).
-		s.arm()
-	}
-	if !n.fluid.tickArmed {
-		n.fluid.tickArmed = true
-		n.eng.After(n.Cfg.FluidUpdateS, n.fluid.onTick)
-	}
 }
 
-// stopFluidSource deregisters a stopped source: accrue its analytic bytes
-// up to now, cancel any pending packet-mode event, release its reservation
-// and let the remaining sources re-settle (a stopped elephant may promote
-// a previously demoted direction).
-func (n *Network) stopFluidSource(s *fluidSource) {
+// stopFluidSources deregisters a group of stopped sources (the caller
+// has set b.stop on every one) as one push: accrue each one's analytic
+// bytes up to now, cancel any pending packet-mode event, drop them all
+// from the registry in one stable compaction (srcs order is the
+// per-direction summation order), and let the remaining sources
+// re-settle in one pass (a stopped elephant may promote a previously
+// demoted direction). Entries whose source is already gone are skipped.
+func (n *Network) stopFluidSources(bs []*Background) {
 	f := n.fluid
 	if f == nil {
 		return
 	}
-	if s.fluid {
-		n.accrueFluid(s, n.eng.Now())
-		s.fluid = false
-	}
-	if s.hasPend {
-		s.seng.Cancel(s.pend)
-		s.hasPend = false
-	}
-	for i, t := range f.srcs {
-		if t == s {
-			f.srcs = append(f.srcs[:i], f.srcs[i+1:]...)
-			break
+	now := n.eng.Now()
+	for _, b := range bs {
+		s := b.src
+		if s == nil {
+			continue
+		}
+		b.src = nil
+		if s.fluid {
+			n.accrueFluid(s, now)
+			s.fluid = false
+		}
+		if s.hasPend {
+			s.seng.Cancel(s.pend)
+			s.hasPend = false
+		}
+		if f.byFid[s.fid] == s {
+			delete(f.byFid, s.fid)
 		}
 	}
-	if f.byFid[s.fid] == s {
-		delete(f.byFid, s.fid)
+	// Every registered source whose Background is stopped is in this
+	// push: Stop deregisters a source the moment it is called.
+	kept := f.srcs[:0]
+	for _, s := range f.srcs {
+		if !s.b.stop {
+			kept = append(kept, s)
+		}
 	}
+	clear(f.srcs[len(kept):])
+	f.srcs = kept
 	n.fluidReevaluate()
 }
 
@@ -280,8 +330,8 @@ func (n *Network) fluidAccrueAll() {
 }
 
 // fluidReevaluate is the heart of the hybrid engine. It runs synchronously
-// on every registration, deregistration, SetActive, SetRoute of a tracked
-// flow, and on the periodic tick:
+// on every registration push, deregistration push, SetActive, route
+// change of a tracked flow, and on the periodic tick:
 //
 //  1. accrue all currently fluid sources at their old rates/routes,
 //  2. re-poll every source's rate callback (clamped finite, ≥ 0),
@@ -293,6 +343,14 @@ func (n *Network) fluidAccrueAll() {
 //  6. install the new per-direction reservations, and
 //  7. run mode transitions: packet→fluid cancels the pending arm/fire
 //     event; fluid→packet re-arms the packet loop.
+//
+// The pass is sparse: it clears only the previous pass's touched and
+// reserved directions, promotes only from the demoted list and demotes
+// only from the newly touched directions, so its cost is the registered
+// sources' hops plus those lists, independent of the fabric's size. Each
+// direction's sums still run in srcs order, and a direction either
+// promotes or demotes in a pass, never both, exactly as a sweep over
+// every direction would decide.
 func (n *Network) fluidReevaluate() {
 	f := n.fluid
 	if f == nil {
@@ -306,10 +364,13 @@ func (n *Network) fluidReevaluate() {
 			n.accrueFluid(s, now)
 		}
 	}
-	// (2)+(3) Poll rates and sum per-direction offered load.
-	for i := range f.offered {
-		f.offered[i] = 0
+	// (2)+(3) Poll rates and sum per-direction offered load. Rates of
+	// eligible sources are > 0, so a direction's sum is nonzero from its
+	// first term on: a zero slot marks a direction not yet touched.
+	for _, d := range f.touched {
+		f.offered[d] = 0
 	}
+	f.touched = f.touched[:0]
 	for _, s := range f.srcs {
 		r := s.rate()
 		if math.IsNaN(r) || math.IsInf(r, 0) || r < 0 {
@@ -330,32 +391,43 @@ func (n *Network) fluidReevaluate() {
 		s.rt, s.routed = rt, ok
 		s.eligible = ok && rt.NumHops() > 0 && numOff == 0 && r > 0
 		if s.eligible {
-			for _, h := range n.arena.Seg(rt.Up).Hops {
-				f.offered[h.Dir] += r
-			}
-			for _, h := range n.arena.Seg(rt.Down).Hops {
-				f.offered[h.Dir] += r
+			for _, seg := range [2]topology.SegID{rt.Up, rt.Down} {
+				for _, h := range n.arena.Seg(seg).Hops {
+					if f.offered[h.Dir] == 0 {
+						f.touched = append(f.touched, int32(h.Dir))
+					}
+					f.offered[h.Dir] += r
+				}
 			}
 		}
 	}
-	// (4) Knee hysteresis per direction.
-	for di := range n.links {
-		ls := &n.links[di]
-		knee := n.Cfg.FluidKneeFrac * n.dirCap[di]
-		if !ls.demoted {
-			if f.offered[di] > knee {
-				ls.demoted = true
-				n.FluidDemotions++
-			}
-		} else if f.offered[di] <= fluidPromoteFrac*knee {
-			ls.demoted = false
+	// (4) Knee hysteresis per direction: promotions over the demoted
+	// list first, then demotions over the touched list. A direction
+	// promoted here has offered ≤ 0.9×knee, so it cannot also demote.
+	kept := f.demoted[:0]
+	for _, d := range f.demoted {
+		knee := n.Cfg.FluidKneeFrac * n.dirCap[d]
+		if f.offered[d] <= fluidPromoteFrac*knee {
+			n.links[d].demoted = false
 			n.FluidPromotions++
+			continue
+		}
+		kept = append(kept, d)
+	}
+	f.demoted = kept
+	for _, d := range f.touched {
+		ls := &n.links[d]
+		if !ls.demoted && f.offered[d] > n.Cfg.FluidKneeFrac*n.dirCap[d] {
+			ls.demoted = true
+			n.FluidDemotions++
+			f.demoted = append(f.demoted, d)
 		}
 	}
 	// (5)+(6) Decide modes and install reservations.
-	for di := range n.links {
-		n.links[di].fluidBps = 0
+	for _, d := range f.reserved {
+		n.links[d].fluidBps = 0
 	}
+	f.reserved = f.reserved[:0]
 	for _, s := range f.srcs {
 		want := s.eligible
 		if want {
@@ -375,11 +447,14 @@ func (n *Network) fluidReevaluate() {
 				}
 			}
 			if want {
-				for _, h := range up {
-					n.links[h.Dir].fluidBps += s.rBps
-				}
-				for _, h := range down {
-					n.links[h.Dir].fluidBps += s.rBps
+				for _, hops := range [2][]topology.DirHop{up, down} {
+					for _, h := range hops {
+						ls := &n.links[h.Dir]
+						if ls.fluidBps == 0 {
+							f.reserved = append(f.reserved, int32(h.Dir))
+						}
+						ls.fluidBps += s.rBps
+					}
 				}
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"eprons/internal/flow"
 	"eprons/internal/rng"
 	"eprons/internal/sim"
 	"eprons/internal/topology"
@@ -269,28 +270,155 @@ func TestFluidStopReleasesEverything(t *testing.T) {
 	}
 }
 
-// FuzzFluidPromoteDemote drives a two-source fluid network through an
-// arbitrary schedule of rate steps and active-set flaps and asserts the
-// structural invariants of the hybrid engine: reservations never exceed
-// the knee, no reservation survives on a demoted direction or after all
-// sources stop, byte accounting stays conserving, and the engine drains.
+// checkFluidDense runs one reevaluation pass and checks it against a
+// dense reference computed by brute force over every direction and every
+// source from the knee flags the pass started with: per-direction offered
+// load and reservations summed in registration order, the hysteresis rule
+// applied to every direction, each source's mode, and the knee counters.
+// It also checks the sparse lists: reserved covers every nonzero
+// reservation, demoted is exactly the flagged directions, and touched is
+// exactly the directions with offered load.
+func checkFluidDense(t *testing.T, n *Network) {
+	t.Helper()
+	f := n.fluid
+	if f == nil {
+		return
+	}
+	nd := len(n.links)
+	prevDemoted := make([]bool, nd)
+	for d := range n.links {
+		prevDemoted[d] = n.links[d].demoted
+	}
+	dem0, prom0 := n.FluidDemotions, n.FluidPromotions
+	n.fluidReevaluate()
+
+	hops := func(s *fluidSource) []topology.DirHop {
+		rt, _ := n.routes.get(s.fid)
+		return append(append([]topology.DirHop(nil), n.arena.Seg(rt.Up).Hops...), n.arena.Seg(rt.Down).Hops...)
+	}
+	offered := make([]float64, nd)
+	eligible := make([]bool, len(f.srcs))
+	rates := make([]float64, len(f.srcs))
+	for i, s := range f.srcs {
+		r := s.rate()
+		if math.IsNaN(r) || math.IsInf(r, 0) || r < 0 {
+			r = 0
+		}
+		rates[i] = r
+		rt, ok := n.routes.get(s.fid)
+		eligible[i] = ok && rt.NumHops() > 0 && n.arena.SegNumOff(rt.Up)+n.arena.SegNumOff(rt.Down) == 0 && r > 0
+		if eligible[i] {
+			for _, h := range hops(s) {
+				offered[h.Dir] += r
+			}
+		}
+	}
+	demoted := make([]bool, nd)
+	var dem, prom int64
+	for d := range demoted {
+		knee := n.Cfg.FluidKneeFrac * n.dirCap[d]
+		demoted[d] = prevDemoted[d]
+		if !prevDemoted[d] && offered[d] > knee {
+			demoted[d] = true
+			dem++
+		} else if prevDemoted[d] && offered[d] <= fluidPromoteFrac*knee {
+			demoted[d] = false
+			prom++
+		}
+	}
+	reserve := make([]float64, nd)
+	for i, s := range f.srcs {
+		want := eligible[i]
+		if want {
+			for _, h := range hops(s) {
+				want = want && !demoted[h.Dir]
+			}
+		}
+		if want {
+			for _, h := range hops(s) {
+				reserve[h.Dir] += rates[i]
+			}
+		}
+		if s.fluid != want {
+			t.Fatalf("flow %d: fluid=%v, dense reference says %v", s.fid, s.fluid, want)
+		}
+	}
+	if got := n.FluidDemotions - dem0; got != dem {
+		t.Fatalf("pass demoted %d directions, dense reference %d", got, dem)
+	}
+	if got := n.FluidPromotions - prom0; got != prom {
+		t.Fatalf("pass promoted %d directions, dense reference %d", got, prom)
+	}
+	listed := func(l []int32) []bool {
+		in := make([]bool, nd)
+		for _, d := range l {
+			if in[d] {
+				t.Fatalf("direction %d listed twice", d)
+			}
+			in[d] = true
+		}
+		return in
+	}
+	inReserved, inDemoted, inTouched := listed(f.reserved), listed(f.demoted), listed(f.touched)
+	for d := range n.links {
+		ls := &n.links[d]
+		if ls.demoted != demoted[d] {
+			t.Fatalf("dir %d demoted=%v, dense reference says %v", d, ls.demoted, demoted[d])
+		}
+		if math.Float64bits(ls.fluidBps) != math.Float64bits(reserve[d]) {
+			t.Fatalf("dir %d reservation %v, dense reference %v", d, ls.fluidBps, reserve[d])
+		}
+		if math.Float64bits(f.offered[d]) != math.Float64bits(offered[d]) {
+			t.Fatalf("dir %d offered %v, dense reference %v", d, f.offered[d], offered[d])
+		}
+		if ls.fluidBps != 0 && !inReserved[d] {
+			t.Fatalf("dir %d holds reservation %v outside the reserved list", d, ls.fluidBps)
+		}
+		if inDemoted[d] != ls.demoted {
+			t.Fatalf("dir %d: demoted list %v, knee flag %v", d, inDemoted[d], ls.demoted)
+		}
+		if inTouched[d] != (offered[d] != 0) {
+			t.Fatalf("dir %d: touched list %v, offered %v", d, inTouched[d], offered[d])
+		}
+	}
+}
+
+// FuzzFluidPromoteDemote drives a fluid network through an arbitrary
+// schedule of rate steps, active-set flaps and batched background starts
+// and stops, and asserts the structural invariants of the hybrid engine:
+// every pass matches the dense reference (checkFluidDense), reservations
+// never exceed the knee, no reservation survives on a demoted direction
+// or after all sources stop, byte accounting stays conserving, and the
+// engine drains.
+//
+// Each ops byte is one step's push: bits 0-1 pick the op (1 starts a
+// group, 2 stops one, else none), bits 2-3 the group size minus one,
+// bit 4 the route (forward or reverse chain) and bits 5-7 the rate.
 func FuzzFluidPromoteDemote(f *testing.F) {
-	f.Add(int64(1), []byte{10, 200, 10, 255, 0, 10}, []byte{0xff})
-	f.Add(int64(7), []byte{255, 255, 0, 0, 120, 130, 140}, []byte{0x01, 0x02})
-	f.Add(int64(42), []byte{}, []byte{})
-	f.Fuzz(func(t *testing.T, seed int64, steps []byte, flaps []byte) {
+	f.Add(int64(1), []byte{10, 200, 10, 255, 0, 10}, []byte{0xff}, []byte{0x0d, 0, 0xe1, 0x06, 0x02})
+	f.Add(int64(7), []byte{255, 255, 0, 0, 120, 130, 140}, []byte{0x01, 0x02}, []byte{0xfd, 0x31, 0x0e, 0x02, 0xfd})
+	f.Add(int64(42), []byte{}, []byte{}, []byte{})
+	f.Fuzz(func(t *testing.T, seed int64, steps []byte, flaps []byte, ops []byte) {
 		if len(steps) > 64 {
 			steps = steps[:64]
 		}
 		if len(flaps) > 16 {
 			flaps = flaps[:16]
 		}
+		if len(ops) > 16 {
+			ops = ops[:16]
+		}
 		eng, n := benchChain(t, Config{FluidBackground: true, QueueLimitBytes: 16 * 1500})
 		// Second flow sharing the middle links, reversed direction on the
 		// outer ones is not possible on a chain, so share the same path.
+		// Pushed groups ride it forward or reversed.
 		rt, _ := n.Route(1)
 		if err := n.SetRoute(2, rt); err != nil {
 			t.Fatal(err)
+		}
+		rev := make(topology.Path, len(rt))
+		for i, v := range rt {
+			rev[len(rt)-1-i] = v
 		}
 		idx := func() int {
 			i := int(eng.Now() / 0.05)
@@ -329,6 +457,47 @@ func FuzzFluidPromoteDemote(f *testing.F) {
 		if dur < 0.2 {
 			dur = 0.2
 		}
+		// Batched pushes, one per step inside the run (a start during the
+		// drain would never stop), in the middle of a tick period.
+		var extra []*Background
+		nextID := flow.ID(10)
+		for i, op := range ops {
+			at := 0.05*float64(i) + 0.025
+			if at >= dur {
+				break
+			}
+			eng.Schedule(at, func() {
+				size := int(op>>2&3) + 1
+				switch op & 3 {
+				case 1:
+					p := rt
+					if op&0x10 != 0 {
+						p = rev
+					}
+					r := float64(op>>5) / 7 * 0.5e9
+					var specs []BackgroundSpec
+					for j := 0; j < size; j++ {
+						if err := n.SetRoute(nextID, p); err != nil {
+							t.Fatal(err)
+						}
+						specs = append(specs, BackgroundSpec{ID: nextID, Rate: func() float64 { return r }, Stream: rng.New(seed + int64(nextID))})
+						nextID++
+					}
+					extra = append(extra, n.StartBackgrounds(specs)...)
+				case 2:
+					if size > len(extra) {
+						size = len(extra)
+					}
+					n.StopBackgrounds(extra[:size])
+					extra = extra[size:]
+				}
+				checkFluidDense(t, n)
+			})
+		}
+		// Dense check after every rate step, off the tick instants.
+		for i := 0; 0.05*float64(i)+0.0125 < dur; i++ {
+			eng.Schedule(0.05*float64(i)+0.0125, func() { checkFluidDense(t, n) })
+		}
 		eng.Run(dur)
 		// Invariant: reservations bounded by the knee, none on demoted dirs.
 		for di := range n.links {
@@ -343,8 +512,8 @@ func FuzzFluidPromoteDemote(f *testing.F) {
 		if n.FluidPromotions > n.FluidDemotions {
 			t.Fatalf("promotions %d exceed demotions %d", n.FluidPromotions, n.FluidDemotions)
 		}
-		b1.Stop()
-		b2.Stop()
+		n.StopBackgrounds(append([]*Background{b1, b2}, extra...))
+		checkFluidDense(t, n)
 		eng.RunAll() // must terminate
 		for di := range n.links {
 			if n.links[di].fluidBps != 0 {

@@ -3,6 +3,8 @@ package netsim
 import (
 	"testing"
 
+	"eprons/internal/fattree"
+	"eprons/internal/flow"
 	"eprons/internal/rng"
 	"eprons/internal/sim"
 	"eprons/internal/topology"
@@ -87,6 +89,49 @@ func benchBackground(b *testing.B, fluidOn bool) {
 
 func BenchmarkNetsimBackgroundPacket(b *testing.B) { benchBackground(b, false) }
 func BenchmarkNetsimBackgroundFluid(b *testing.B)  { benchBackground(b, true) }
+
+// BenchmarkNetsimBackgroundRegister measures the registration cost of the
+// Fig 10 k=32 background: one StartBackgrounds plus one StopBackgrounds of
+// the 992 all-to-all pod elephants (one per ordered pod pair, spread over
+// the source pod's hosts) on the 8192-host fat-tree with the fluid engine
+// on. Each elephant follows its first candidate path at 20% of link rate,
+// so the core uplinks cross the knee and the push exercises demotion as
+// well as reservation. The fabric and routes are built outside the timer.
+func BenchmarkNetsimBackgroundRegister(b *testing.B) {
+	ft, err := fattree.New(fattree.Config{K: 32, LinkCapacityBps: 1e9, SwitchPowerW: 36})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.FluidBackground = true
+	n := New(sim.New(), ft.Graph, cfg)
+	k := ft.Cfg.K
+	hostsPerPod := len(ft.Hosts) / k
+	rate := func() float64 { return 0.2e9 }
+	var specs []BackgroundSpec
+	for sp := 0; sp < k; sp++ {
+		for dp := 0; dp < k; dp++ {
+			if sp == dp {
+				continue
+			}
+			id := flow.ID(len(specs))
+			src, dst := ft.Hosts[sp*hostsPerPod+dp%hostsPerPod], ft.Hosts[dp*hostsPerPod+sp%hostsPerPod]
+			if err := n.SetRoute(id, ft.PathByIndex(src, dst, 0)); err != nil {
+				b.Fatal(err)
+			}
+			specs = append(specs, BackgroundSpec{ID: id, Rate: rate, Stream: rng.Derive(1, "bg-register")})
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n.StopBackgrounds(n.StartBackgrounds(specs))
+	}
+	b.StopTimer()
+	if n.FluidDemotions == 0 {
+		b.Fatal("registration push crossed no knee")
+	}
+}
 
 // BenchmarkNetsimForwardPriority is the same pipeline in two-class
 // strict-priority mode (the QoS ablation path).

@@ -241,7 +241,8 @@ type Network struct {
 	FluidPromotions int64
 
 	// fluidReevals counts fluidReevaluate passes (regression guard: a
-	// batched rule push must cost one pass, not one per flow).
+	// batched rule or background push must cost one pass, not one per
+	// flow).
 	fluidReevals int64
 }
 
@@ -708,35 +709,98 @@ type Background struct {
 
 // Stop halts the source after its next scheduled packet. A fluid-managed
 // source is deregistered immediately: its analytic bytes accrue up to now
-// and its link reservations are released.
+// and its link reservations are released. It is the one-element
+// StopBackgrounds.
 func (b *Background) Stop() {
 	b.stop = true
-	if b.n != nil && b.src != nil {
-		b.n.stopFluidSource(b.src)
-		b.src = nil
+	if b.src != nil {
+		b.n.stopFluidSources([]*Background{b})
 	}
+}
+
+// StopBackgrounds stops every source in bs as one push: under
+// Cfg.FluidBackground the fluid-managed ones deregister together and the
+// survivors re-settle in a single reevaluation, so a harness stopping m
+// elephants pays one pass instead of m. Stops only remove offered load,
+// so the result is that of calling Stop on each in order, provided no
+// surviving source's rate rose since the last pass (the first per-flow
+// stop re-polls them and could demote a direction transiently). When bs
+// holds every source, only those transient knee counts could differ.
+// Already-stopped entries are ignored.
+func (n *Network) StopBackgrounds(bs []*Background) {
+	fluid := false
+	for _, b := range bs {
+		b.stop = true
+		fluid = fluid || b.src != nil
+	}
+	if fluid {
+		n.stopFluidSources(bs)
+	}
+}
+
+// BackgroundSpec describes one background source for StartBackgrounds:
+// the flow whose route it follows, its offered-rate callback (bits per
+// second) and its private arrival stream.
+type BackgroundSpec struct {
+	ID     flow.ID
+	Rate   func() float64
+	Stream *rng.Stream
 }
 
 // StartBackground launches a Poisson packet source on the route of fid.
 // rate is polled before each packet and returns the current offered load in
 // bits per second; returning 0 pauses the source (re-polled every 10ms).
-// Packets that find the route inactive are dropped and counted.
+// Packets that find the route inactive are dropped and counted. It is the
+// one-element StartBackgrounds.
 //
 // Under Cfg.FluidBackground the source registers with the hybrid engine
 // instead: while its route is fully active and every directed link on it is
 // below the knee, the source contributes an analytic rate reservation and
-// emits no packet events; otherwise it runs the exact packet loop below.
+// emits no packet events; otherwise it runs the exact packet loop of
+// startPacketBackground.
 func (n *Network) StartBackground(fid flow.ID, rate func() float64, stream *rng.Stream) *Background {
 	b := &Background{}
+	n.startBackgrounds([]*Background{b}, []BackgroundSpec{{ID: fid, Rate: rate, Stream: stream}})
+	return b
+}
+
+// StartBackgrounds launches one source per spec, in spec order, as one
+// push: under Cfg.FluidBackground every source registers before a single
+// reevaluation decides their modes, so a harness starting m elephants
+// pays one pass instead of m. Registrations only add offered load, so
+// the result is that of calling StartBackground on each spec in order,
+// provided no already-demoted direction's load fell since the last pass
+// (the first per-flow start re-polls it and could promote it
+// transiently); a first push, with no sources registered, always
+// matches.
+func (n *Network) StartBackgrounds(specs []BackgroundSpec) []*Background {
+	bs := make([]*Background, len(specs))
+	for i := range bs {
+		bs[i] = &Background{}
+	}
+	if len(specs) > 0 {
+		n.startBackgrounds(bs, specs)
+	}
+	return bs
+}
+
+func (n *Network) startBackgrounds(bs []*Background, specs []BackgroundSpec) {
 	bits := float64(n.Cfg.PacketBytes) * 8
 	if n.fluidEnabled() {
-		n.startFluidBackground(b, fid, rate, stream, bits)
-		return b
+		n.startFluidBackgrounds(bs, specs, bits)
+		return
 	}
-	if n.shd != nil {
-		n.startShardBackground(b, fid, rate, stream, bits)
-		return b
+	for i, sp := range specs {
+		if n.shd != nil {
+			n.startShardBackground(bs[i], sp.ID, sp.Rate, sp.Stream, bits)
+		} else {
+			n.startPacketBackground(bs[i], sp.ID, sp.Rate, sp.Stream, bits)
+		}
 	}
+}
+
+// startPacketBackground is the classic sequential background source.
+func (n *Network) startPacketBackground(b *Background, fid flow.ID, rate func() float64, stream *rng.Stream, bits float64) {
 	// Exactly two closures for the lifetime of the source (arm draws the
 	// next arrival, fire emits a packet); every packet reuses them, so the
 	// steady-state source allocates nothing.
@@ -773,7 +837,6 @@ func (n *Network) StartBackground(fid flow.ID, rate func() float64, stream *rng.
 		arm()
 	}
 	arm()
-	return b
 }
 
 // LinkBytes returns forwarded bytes per directed link since the last

@@ -127,6 +127,104 @@ func TestInstallRoutesSingleReevaluate(t *testing.T) {
 	}
 }
 
+// TestStartStopBackgroundsSingleReevaluate pins the batching contract of
+// background pushes: StartBackgrounds of m sources and StopBackgrounds of
+// m sources each cost exactly ONE fluid reevaluation where per-flow calls
+// cost m, and the two leave identical traffic statistics and knee
+// counters. The start crosses the knee (three 0.3 Gbps elephants share
+// the forward chain, 0.9 > 0.8 Gbps) and the stop falls back under it.
+func TestStartStopBackgroundsSingleReevaluate(t *testing.T) {
+	type result struct {
+		startReevals, stopReevals int64
+		lb                        map[topology.LinkID]int64
+		rates                     map[flow.ID]float64
+		offered, carried          int64
+		demotions, promotions     int64
+	}
+	run := func(batched bool) result {
+		eng, n := benchChain(t, Config{FluidBackground: true})
+		fwd, _ := n.Route(1)
+		rev := make(topology.Path, len(fwd))
+		for i, v := range fwd {
+			rev[len(fwd)-1-i] = v
+		}
+		// Flows 1-3 share the forward chain; flow 4 rides it backwards and
+		// stays fluid throughout.
+		for fid, p := range []topology.Path{fwd, fwd, rev} {
+			if err := n.SetRoute(flow.ID(fid+2), p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var specs []BackgroundSpec
+		for fid := flow.ID(1); fid <= 4; fid++ {
+			specs = append(specs, BackgroundSpec{ID: fid, Rate: func() float64 { return 0.3e9 }, Stream: rng.New(int64(fid))})
+		}
+		var res result
+		var bgs []*Background
+		eng.Schedule(0.1, func() {
+			base := n.fluidReevals
+			if batched {
+				bgs = n.StartBackgrounds(specs)
+			} else {
+				for _, sp := range specs {
+					bgs = append(bgs, n.StartBackground(sp.ID, sp.Rate, sp.Stream))
+				}
+			}
+			res.startReevals = n.fluidReevals - base
+		})
+		eng.Schedule(0.3, func() {
+			base := n.fluidReevals
+			if batched {
+				n.StopBackgrounds(bgs[:2])
+			} else {
+				bgs[0].Stop()
+				bgs[1].Stop()
+			}
+			res.stopReevals = n.fluidReevals - base
+		})
+		eng.Run(0.5)
+		if batched {
+			n.StopBackgrounds(bgs)
+		} else {
+			for _, bg := range bgs {
+				bg.Stop()
+			}
+		}
+		eng.RunAll()
+		res.lb, res.rates = n.LinkBytes(), n.FlowRates(0.5)
+		res.offered, res.carried = n.OfferedBytes, n.CarriedBytes
+		res.demotions, res.promotions = n.FluidDemotions, n.FluidPromotions
+		return res
+	}
+	a, b := run(false), run(true)
+	if a.startReevals != 4 || a.stopReevals != 2 {
+		t.Errorf("per-flow start/stop ran %d/%d reevaluations, want 4/2", a.startReevals, a.stopReevals)
+	}
+	if b.startReevals != 1 || b.stopReevals != 1 {
+		t.Errorf("batched start/stop ran %d/%d reevaluations, want 1/1", b.startReevals, b.stopReevals)
+	}
+	if a.demotions == 0 || a.promotions == 0 {
+		t.Fatalf("scenario did not cross the knee both ways: %d demotions, %d promotions", a.demotions, a.promotions)
+	}
+	if a.demotions != b.demotions || a.promotions != b.promotions {
+		t.Errorf("knee counters differ: per-flow %d/%d batched %d/%d", a.demotions, a.promotions, b.demotions, b.promotions)
+	}
+	if a.offered != b.offered || a.carried != b.carried {
+		t.Errorf("byte counters differ: per-flow %d/%d batched %d/%d", a.offered, a.carried, b.offered, b.carried)
+	}
+	if !reflect.DeepEqual(a.lb, b.lb) {
+		t.Errorf("batched push changed link byte counters:\n per-flow: %v\n batched:  %v", a.lb, b.lb)
+	}
+	if len(a.rates) != len(b.rates) {
+		t.Errorf("flow rate sets differ: per-flow %v batched %v", a.rates, b.rates)
+	}
+	for fid, ra := range a.rates {
+		if rb := b.rates[fid]; math.Float64bits(ra) != math.Float64bits(rb) {
+			t.Errorf("flow %d rate differs: per-flow %v batched %v", fid, ra, rb)
+		}
+	}
+}
+
 // TestRouteResolverOnDemand: a flow with no installed route consults the
 // resolver exactly once (the result is interned and cached), a nil
 // resolution is NOT cached (the next reference asks again), and Route

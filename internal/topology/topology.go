@@ -328,26 +328,24 @@ func (a *ActiveSet) LinkOn(id LinkID) bool { return a.linkOn[id] }
 
 // PathOn reports whether every node and link on the path is powered. It is
 // allocation-free — consolidation calls it once per candidate path. The
-// first pass resolves every hop before any link state is read, preserving
-// Links' panic on a malformed path regardless of where an off link sits.
+// hop loop resolves every hop (one FindLink each) and keeps scanning past
+// an off link, preserving Links' panic on a malformed path regardless of
+// where an off link sits.
 func (a *ActiveSet) PathOn(p Path) bool {
 	for _, n := range p {
 		if !a.nodeOn[n] {
 			return false
 		}
 	}
+	on := true
 	for i := 0; i+1 < len(p); i++ {
-		if _, ok := a.g.FindLink(p[i], p[i+1]); !ok {
+		id, ok := a.g.FindLink(p[i], p[i+1])
+		if !ok {
 			panic(fmt.Sprintf("topology: path hop %s-%s has no link", a.g.nodes[p[i]].Name, a.g.nodes[p[i+1]].Name))
 		}
+		on = on && a.linkOn[id]
 	}
-	for i := 0; i+1 < len(p); i++ {
-		id, _ := a.g.FindLink(p[i], p[i+1])
-		if !a.linkOn[id] {
-			return false
-		}
-	}
-	return true
+	return on
 }
 
 // Normalize powers off any switch all of whose links are off, and

@@ -191,6 +191,20 @@ func TestPathOn(t *testing.T) {
 	if a.PathOn(p) {
 		t.Fatal("path through off switch reported on")
 	}
+
+	// An off link reports false, but a missing hop after it still panics.
+	b := NewActiveSet(g)
+	lid, _ := g.FindLink(n[1], n[2])
+	b.SetLink(lid, false)
+	if b.PathOn(p) {
+		t.Fatal("path over off link reported on")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("malformed path past an off link did not panic")
+		}
+	}()
+	b.PathOn(Path{n[0], n[1], n[2], n[3]}) // s1-s2 has no link
 }
 
 func TestValidate(t *testing.T) {
