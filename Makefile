@@ -15,8 +15,8 @@
 #   make bench      — the allocation/latency benchmarks the perf work tracks
 #                     (engine scheduling/cancellation, packet forwarding,
 #                     background elephants packet vs fluid, FFT convolution
-#                     reuse, DVFS decide, Fig 10 end-to-end packet/fluid/k=8,
-#                     Fig 15 end-to-end).
+#                     reuse, DVFS decide, consolidation at k=16/k=32, Fig 10
+#                     end-to-end packet/fluid/k=8, Fig 15 end-to-end).
 #   make bench-json — run the tier-1 benches and snapshot them to
 #                     BENCH_<n>.json (name, ns/op, B/op, allocs/op) so the
 #                     perf trajectory is machine-readable across PRs.
@@ -39,8 +39,9 @@
 #                     replica failover conservation under random crash/repair
 #                     schedules, sharded-vs-sequential barrier equivalence,
 #                     analytic-twin monotonicity, route-segment
-#                     intern/materialize equivalence); FUZZTIME=30s lengthens
-#                     each target's budget.
+#                     intern/materialize equivalence, consolidation kernel
+#                     vs its frozen node-path reference); FUZZTIME=30s
+#                     lengthens each target's budget.
 #   make twincheck  — validate the closed-form analytic twin against the
 #                     DES on the Fig 10 grid and the trained server table
 #                     (quick grid); fails when an in-domain cell breaks
@@ -52,10 +53,11 @@ GOFMT ?= gofmt
 
 # The tier-1 benchmark suite tracked across PRs: scheduler hot path,
 # packet pipeline, background-elephant cost (packet vs fluid), FFT/DVFS
-# kernels, and the Fig 10 (packet, fluid, k=8, k=16 sequential/sharded)
-# and Fig 15 end-to-end sweeps.
-BENCH_PATTERN = 'BenchmarkEngine|BenchmarkNetsimForward|BenchmarkNetsimBackground|BenchmarkFFT|BenchmarkDVFS|BenchmarkAblationConvolution|BenchmarkFig10|BenchmarkFig15DiurnalSavings'
-BENCH_PKGS = . ./internal/sim ./internal/netsim ./internal/fft ./internal/dvfs
+# kernels, the consolidation kernel (Balance at k=32, Greedy at k=16), and
+# the Fig 10 (packet, fluid, k=8, k=16 sequential/sharded, k=32) and Fig 15
+# end-to-end sweeps.
+BENCH_PATTERN = 'BenchmarkEngine|BenchmarkNetsimForward|BenchmarkNetsimBackground|BenchmarkFFT|BenchmarkDVFS|BenchmarkAblationConvolution|BenchmarkConsolidate|BenchmarkFig10|BenchmarkFig15DiurnalSavings'
+BENCH_PKGS = . ./internal/sim ./internal/netsim ./internal/fft ./internal/dvfs ./internal/consolidate
 BENCHCOUNT ?= 3
 BENCHGUARD_PCT ?= 10
 
@@ -94,6 +96,7 @@ fuzz-short:
 	$(GO) test -run XXX -fuzz FuzzShardBarrier -fuzztime $(FUZZTIME) ./internal/netsim
 	$(GO) test -run XXX -fuzz FuzzTwinMonotonic -fuzztime $(FUZZTIME) ./internal/twin
 	$(GO) test -run XXX -fuzz FuzzRouteIntern -fuzztime $(FUZZTIME) ./internal/fattree
+	$(GO) test -run XXX -fuzz FuzzConsolidateKernel -fuzztime $(FUZZTIME) ./internal/consolidate
 
 twincheck:
 	$(GO) run ./cmd/joint -twincheck -quick

@@ -26,14 +26,26 @@ import (
 )
 
 // Fabric is the topology abstraction the consolidators work over: a graph
-// plus equal-cost candidate-path enumeration between hosts. The paper's
-// model "is independent of the network topology" (§IV-B); fat-tree and
-// leaf-spine both implement this interface.
+// plus an indexed enumeration of the equal-cost candidate paths between
+// hosts. The paper's model "is independent of the network topology"
+// (§IV-B); fat-tree and leaf-spine both implement this interface.
+//
+// Candidates are addressed by index so the consolidators can score each
+// one as directed-link indices and build the node path of the winner
+// only.
 type Fabric interface {
 	// Topo returns the graph (nodes, links, capacities, power).
 	Topo() *topology.Graph
-	// Paths enumerates candidate paths between two distinct hosts.
-	Paths(src, dst topology.NodeID) []topology.Path
+	// NumPaths returns the number of candidate paths from src to dst (0
+	// when src == dst).
+	NumPaths(src, dst topology.NodeID) int
+	// PathDirsInto returns the directed-link indices (see
+	// topology.Link.DirIndex) of candidate idx in hop order, built into
+	// buf's backing array (buf may be nil).
+	PathDirsInto(src, dst topology.NodeID, idx int, buf []int) []int
+	// PathByIndexInto returns candidate idx as a node path, built into
+	// buf's backing array (buf may be nil).
+	PathByIndexInto(src, dst topology.NodeID, idx int, buf topology.Path) topology.Path
 }
 
 // Config parameterizes one consolidation round.
@@ -82,13 +94,14 @@ type Result struct {
 	// Active is the powered subnet implied by the paths.
 	Active *topology.ActiveSet
 	// ReservedBps is the reserved (scaled) bandwidth per DIRECTED link,
-	// keyed by topology.Link.DirIndex — links are full duplex and the
-	// model's flow variables are per direction (eq. 4).
-	ReservedBps map[int]float64
-	// ActualBps is the unscaled measured demand per directed link;
-	// utilization for latency models uses this, since the K-scaling only
-	// reserves headroom and does not add traffic.
-	ActualBps map[int]float64
+	// indexed by topology.Link.DirIndex (length 2*NumLinks, zero on links
+	// no flow uses) — links are full duplex and the model's flow
+	// variables are per direction (eq. 4).
+	ReservedBps []float64
+	// ActualBps is the unscaled measured demand per directed link, laid
+	// out like ReservedBps; utilization for latency models uses this,
+	// since the K-scaling only reserves headroom and does not add traffic.
+	ActualBps []float64
 	// NetworkPowerW is the power of the active subnet.
 	NetworkPowerW float64
 	// Optimal is set by Exact when branch and bound proved optimality
@@ -104,15 +117,51 @@ func (r *Result) Utilization(g *topology.Graph, dir int) float64 {
 // PathUtilizations returns the actual utilization of each directed link
 // along a placed flow's path, or nil if the flow is unplaced.
 func (r *Result) PathUtilizations(g *topology.Graph, id flow.ID) []float64 {
+	return r.PathUtilizationsInto(g, id, nil)
+}
+
+// PathUtilizationsInto appends the actual utilization of each directed
+// link along a placed flow's path to buf, in hop order, and returns the
+// extended slice; buf comes back unchanged if the flow is unplaced.
+// Callers pricing many flows reuse one buffer.
+func (r *Result) PathUtilizationsInto(g *topology.Graph, id flow.ID, buf []float64) []float64 {
 	p, ok := r.Paths[id]
 	if !ok {
-		return nil
+		return buf
 	}
-	out := []float64{}
-	for _, d := range p.DirLinks(g) {
-		out = append(out, r.Utilization(g, d))
+	for i := 0; i+1 < len(p); i++ {
+		buf = append(buf, r.Utilization(g, g.HopDir(p[i], p[i+1])))
 	}
-	return out
+	return buf
+}
+
+// newResult validates the flows and returns them in placement order —
+// descending reserved bandwidth, stable — with an empty feasible result
+// sized for g.
+func newResult(g *topology.Graph, flows []flow.Flow, cfg Config) ([]flow.Flow, *Result, error) {
+	for _, f := range flows {
+		if err := f.Validate(); err != nil {
+			return nil, nil, err
+		}
+	}
+	order := make([]flow.Flow, len(flows))
+	copy(order, flows)
+	sort.SliceStable(order, func(i, j int) bool {
+		return cfg.effective(order[i]) > cfg.effective(order[j])
+	})
+	return order, emptyResult(g, len(flows)), nil
+}
+
+// emptyResult returns a feasible result with nothing placed and dense
+// per-direction reservations for g.
+func emptyResult(g *topology.Graph, nflows int) *Result {
+	return &Result{
+		Feasible:    true,
+		Paths:       make(map[flow.ID]topology.Path, nflows),
+		Active:      topology.NewEmptyActiveSet(g),
+		ReservedBps: make([]float64, 2*g.NumLinks()),
+		ActualBps:   make([]float64, 2*g.NumLinks()),
+	}
 }
 
 // Greedy places flows with first-fit-decreasing bin packing. Flows are
@@ -121,48 +170,30 @@ func (r *Result) PathUtilizations(g *topology.Graph, id flow.ID) []float64 {
 // switches, breaking ties toward the "leftmost" (lowest-ID) path so traffic
 // piles into one corner of the topology and the rest can sleep.
 func Greedy(ft Fabric, flows []flow.Flow, cfg Config) (*Result, error) {
-	for _, f := range flows {
-		if err := f.Validate(); err != nil {
-			return nil, err
-		}
-	}
 	g := ft.Topo()
-	res := &Result{
-		Feasible:    true,
-		Paths:       make(map[flow.ID]topology.Path),
-		Active:      topology.NewEmptyActiveSet(g),
-		ReservedBps: make(map[int]float64),
-		ActualBps:   make(map[int]float64),
+	order, res, err := newResult(g, flows, cfg)
+	if err != nil {
+		return nil, err
 	}
-
-	order := make([]flow.Flow, len(flows))
-	copy(order, flows)
-	sort.SliceStable(order, func(i, j int) bool {
-		return cfg.effective(order[i]) > cfg.effective(order[j])
-	})
-
-	var dirScratch []int
+	var dirs []int
 	for _, f := range order {
-		paths := ft.Paths(f.Src, f.Dst)
-		if len(paths) == 0 {
-			res.Feasible = false
-			res.Unplaced = append(res.Unplaced, f.ID)
-			continue
-		}
 		eff := cfg.effective(f)
 		bestIdx, bestNew := -1, 1<<30
-		for idx, p := range paths {
-			if cfg.Restrict != nil && !cfg.Restrict.PathOn(p) {
+		for idx, n := 0, ft.NumPaths(f.Src, f.Dst); idx < n; idx++ {
+			dirs = ft.PathDirsInto(f.Src, f.Dst, idx, dirs)
+			if cfg.Restrict != nil && !cfg.Restrict.DirsOn(dirs) {
 				continue
 			}
-			dirScratch = p.DirLinksInto(g, dirScratch)
-			if !fits(g, res, dirScratch, eff, cfg.SafetyMarginBps) {
+			if !fits(g, res, dirs, eff, cfg.SafetyMarginBps) {
 				continue
 			}
-			newSw := newSwitches(g, res.Active, p)
+			newSw := newSwitches(g, res.Active, dirs)
 			if newSw < bestNew {
 				bestNew = newSw
 				bestIdx = idx
+			}
+			if bestNew == 0 {
+				break // no later candidate can beat it under the strict <
 			}
 		}
 		if bestIdx < 0 {
@@ -170,7 +201,7 @@ func Greedy(ft Fabric, flows []flow.Flow, cfg Config) (*Result, error) {
 			res.Unplaced = append(res.Unplaced, f.ID)
 			continue
 		}
-		commit(g, res, f, paths[bestIdx], eff)
+		dirs = commitIndex(ft, res, f, bestIdx, eff, dirs)
 	}
 	if cfg.BackupPaths {
 		activateBackups(ft, flows, cfg, res)
@@ -198,10 +229,7 @@ func activateBackups(ft Fabric, flows []flow.Flow, cfg Config, res *Result) {
 		}
 		var best topology.Path
 		bestOverlap := 1 << 30
-		for _, p := range ft.Paths(f.Src, f.Dst) {
-			if cfg.Restrict != nil && !cfg.Restrict.PathOn(p) {
-				continue
-			}
+		for _, p := range candidates(ft, f.Src, f.Dst, cfg.Restrict) {
 			overlap := 0
 			same := true
 			for _, n := range p {
@@ -225,8 +253,27 @@ func activateBackups(ft Fabric, flows []flow.Flow, cfg Config, res *Result) {
 	}
 }
 
-// fits takes the path's directed links (p.DirLinksInto) rather than the
-// path itself so the candidate-scan loops resolve each path exactly once.
+// candidates returns the candidate paths from src to dst that lie inside
+// restrict (all of them when restrict is nil), in Fabric index order. The
+// solvers that need every candidate as a node path — Exact's model and
+// the backup-path search — enumerate through it.
+func candidates(ft Fabric, src, dst topology.NodeID, restrict *topology.ActiveSet) []topology.Path {
+	var out []topology.Path
+	var dirs []int
+	for idx, n := 0, ft.NumPaths(src, dst); idx < n; idx++ {
+		if restrict != nil {
+			dirs = ft.PathDirsInto(src, dst, idx, dirs)
+			if !restrict.DirsOn(dirs) {
+				continue
+			}
+		}
+		out = append(out, ft.PathByIndexInto(src, dst, idx, nil))
+	}
+	return out
+}
+
+// fits reports whether eff more bits per second fit on every directed
+// link of a candidate under the safety margin.
 func fits(g *topology.Graph, res *Result, dirs []int, eff, margin float64) bool {
 	for _, d := range dirs {
 		cap := g.Link(topology.LinkID(d/2)).CapacityBps - margin
@@ -237,9 +284,13 @@ func fits(g *topology.Graph, res *Result, dirs []int, eff, margin float64) bool 
 	return true
 }
 
-func newSwitches(g *topology.Graph, active *topology.ActiveSet, p topology.Path) int {
+// newSwitches counts the switches a candidate would power on. A path's
+// nodes are its source host plus the head of every directed link, and the
+// host never counts.
+func newSwitches(g *topology.Graph, active *topology.ActiveSet, dirs []int) int {
 	n := 0
-	for _, node := range p {
+	for _, d := range dirs {
+		node := g.DirHead(d)
 		if g.Node(node).Kind.IsSwitch() && !active.NodeOn(node) {
 			n++
 		}
@@ -247,14 +298,23 @@ func newSwitches(g *topology.Graph, active *topology.ActiveSet, p topology.Path)
 	return n
 }
 
-func commit(g *topology.Graph, res *Result, f flow.Flow, p topology.Path, eff float64) {
+// commitIndex places f on the fabric's candidate idx — the only candidate
+// of the scan built as a node path — and returns its directed links in
+// the dirs scratch.
+func commitIndex(ft Fabric, res *Result, f flow.Flow, idx int, eff float64, dirs []int) []int {
+	dirs = ft.PathDirsInto(f.Src, f.Dst, idx, dirs)
+	commit(res, f, ft.PathByIndexInto(f.Src, f.Dst, idx, nil), dirs, eff)
+	return dirs
+}
+
+// commit records p (whose directed links are dirs) as f's path, reserves
+// eff and f's demand on every direction, and powers the links on.
+func commit(res *Result, f flow.Flow, p topology.Path, dirs []int, eff float64) {
 	res.Paths[f.ID] = p
-	links := p.Links(g)
-	dirs := p.DirLinks(g)
-	for i, lid := range links {
-		res.ReservedBps[dirs[i]] += eff
-		res.ActualBps[dirs[i]] += f.DemandBps
-		res.Active.SetLink(lid, true)
+	for _, d := range dirs {
+		res.ReservedBps[d] += eff
+		res.ActualBps[d] += f.DemandBps
+		res.Active.SetLink(topology.LinkID(d/2), true)
 	}
 }
 
@@ -265,40 +325,26 @@ func commit(g *topology.Graph, res *Result, f flow.Flow, p topology.Path, eff fl
 // (Fig 10/11), where the active subnet is chosen by policy and routing
 // should spread load rather than empty switches.
 func Balance(ft Fabric, flows []flow.Flow, cfg Config) (*Result, error) {
-	for _, f := range flows {
-		if err := f.Validate(); err != nil {
-			return nil, err
-		}
-	}
 	g := ft.Topo()
-	res := &Result{
-		Feasible:    true,
-		Paths:       make(map[flow.ID]topology.Path),
-		Active:      topology.NewEmptyActiveSet(g),
-		ReservedBps: make(map[int]float64),
-		ActualBps:   make(map[int]float64),
+	order, res, err := newResult(g, flows, cfg)
+	if err != nil {
+		return nil, err
 	}
-	order := make([]flow.Flow, len(flows))
-	copy(order, flows)
-	sort.SliceStable(order, func(i, j int) bool {
-		return cfg.effective(order[i]) > cfg.effective(order[j])
-	})
-	var dirScratch []int
+	var dirs []int
 	for _, f := range order {
 		eff := cfg.effective(f)
-		paths := ft.Paths(f.Src, f.Dst)
 		bestIdx := -1
 		bestMax, bestSum := 0.0, 0.0
-		for idx, p := range paths {
-			if cfg.Restrict != nil && !cfg.Restrict.PathOn(p) {
+		for idx, n := 0, ft.NumPaths(f.Src, f.Dst); idx < n; idx++ {
+			dirs = ft.PathDirsInto(f.Src, f.Dst, idx, dirs)
+			if cfg.Restrict != nil && !cfg.Restrict.DirsOn(dirs) {
 				continue
 			}
-			dirScratch = p.DirLinksInto(g, dirScratch)
-			if !fits(g, res, dirScratch, eff, cfg.SafetyMarginBps) {
+			if !fits(g, res, dirs, eff, cfg.SafetyMarginBps) {
 				continue
 			}
 			maxU, sum := 0.0, 0.0
-			for _, d := range dirScratch {
+			for _, d := range dirs {
 				u := (res.ReservedBps[d] + eff) / g.Link(topology.LinkID(d/2)).CapacityBps
 				if u > maxU {
 					maxU = u
@@ -314,7 +360,7 @@ func Balance(ft Fabric, flows []flow.Flow, cfg Config) (*Result, error) {
 			res.Unplaced = append(res.Unplaced, f.ID)
 			continue
 		}
-		commit(g, res, f, paths[bestIdx], eff)
+		dirs = commitIndex(ft, res, f, bestIdx, eff, dirs)
 	}
 	res.NetworkPowerW = res.Active.NetworkPowerW()
 	return res, nil
@@ -348,13 +394,7 @@ func Exact(ft Fabric, flows []flow.Flow, cfg Config, opt milp.Options) (*Result,
 	}
 	optimal := sol.Status == milp.Optimal
 
-	res := &Result{
-		Feasible:    true,
-		Paths:       make(map[flow.ID]topology.Path),
-		Active:      topology.NewEmptyActiveSet(g),
-		ReservedBps: make(map[int]float64),
-		ActualBps:   make(map[int]float64),
-	}
+	res := emptyResult(g, len(flows))
 	for i, f := range flows {
 		chosen := -1
 		for p := range cand[i] {
@@ -366,7 +406,8 @@ func Exact(ft Fabric, flows []flow.Flow, cfg Config, opt milp.Options) (*Result,
 		if chosen < 0 {
 			return nil, fmt.Errorf("consolidate: MILP returned no path for flow %d", f.ID)
 		}
-		commit(g, res, f, cand[i][chosen], cfg.effective(f))
+		p := cand[i][chosen]
+		commit(res, f, p, p.DirLinks(g), cfg.effective(f))
 	}
 	res.NetworkPowerW = res.Active.NetworkPowerW()
 	res.Optimal = optimal
@@ -398,12 +439,7 @@ func buildExactModel(ft Fabric, flows []flow.Flow, cfg Config) (*lp.Problem, []i
 	// Candidate paths per flow, filtered by Restrict.
 	cand := make([][]topology.Path, len(flows))
 	for i, f := range flows {
-		for _, p := range ft.Paths(f.Src, f.Dst) {
-			if cfg.Restrict != nil && !cfg.Restrict.PathOn(p) {
-				continue
-			}
-			cand[i] = append(cand[i], p)
-		}
+		cand[i] = candidates(ft, f.Src, f.Dst, cfg.Restrict)
 		if len(cand[i]) == 0 {
 			return nil, nil, &exactLayout{unplaced: []flow.ID{f.ID}}, nil
 		}

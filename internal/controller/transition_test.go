@@ -32,8 +32,8 @@ func handPlacement(ft *fattree.FatTree, f flow.Flow, group int) *consolidate.Res
 		Feasible:    true,
 		Paths:       map[flow.ID]topology.Path{f.ID: path},
 		Active:      topology.NewEmptyActiveSet(g),
-		ReservedBps: map[int]float64{},
-		ActualBps:   map[int]float64{},
+		ReservedBps: make([]float64, 2*g.NumLinks()),
+		ActualBps:   make([]float64, 2*g.NumLinks()),
 	}
 	for _, lid := range path.Links(g) {
 		res.Active.SetLink(lid, true)

@@ -206,8 +206,10 @@ func (cfg *DiurnalConfig) runEPRONS(steps []diurnalStep, out *DiurnalSeries) err
 	var plan *Plan
 	nextPlanAt := 0.0
 	for _, st := range steps {
-		flows := append(cfg.queryFlows(st.util), cfg.backgroundFlows(st.bg)...)
 		if st.t >= nextPlanAt || plan == nil {
+			// The flow set only matters at a plan point; most steps
+			// replay the standing plan.
+			flows := append(cfg.queryFlows(st.util), cfg.backgroundFlows(st.bg)...)
 			newPlan, err := p.PlanK(flows, st.util)
 			if err == nil {
 				plan = newPlan

@@ -151,12 +151,13 @@ func (p *Planner) predictTail(k int, res *consolidate.Result, flows []flow.Flow)
 	}
 	worst := 0.0
 	cap := p.FT.Cfg.LinkCapacityBps
+	var utils []float64 // one buffer for every flow's hop utilizations
 	for _, f := range flows {
 		if f.Class != flow.LatencySensitive {
 			continue
 		}
-		utils := res.PathUtilizations(p.FT.Graph, f.ID)
-		if utils == nil {
+		utils = res.PathUtilizationsInto(p.FT.Graph, f.ID, utils[:0])
+		if len(utils) == 0 {
 			continue
 		}
 		// cfg.fill() keeps TailQuantile in (0,1), so the only error

@@ -47,10 +47,12 @@ type FatTree struct {
 	Cores []topology.NodeID // Cores[g*(k/2)+i]: group g connects to agg index g in every pod
 
 	// hostPod and hostEdge hold each host's pod and edge index within the
-	// pod, indexed by NodeID (switch entries stay 0). ECMP path probes
-	// read them for both endpoints on every candidate.
+	// pod, and hostLink the ID of its access link, all indexed by NodeID
+	// (switch entries stay 0). ECMP path probes read them for both
+	// endpoints on every candidate.
 	hostPod  []int32
 	hostEdge []int32
+	hostLink []int32
 }
 
 // New builds a fat-tree from cfg.
@@ -70,6 +72,7 @@ func New(cfg Config) (*FatTree, error) {
 		Graph:    g,
 		hostPod:  make([]int32, nodes),
 		hostEdge: make([]int32, nodes),
+		hostLink: make([]int32, nodes),
 	}
 
 	// Core switches: (k/2)² of them, in k/2 groups of k/2. Core
@@ -93,13 +96,16 @@ func New(cfg Config) (*FatTree, error) {
 				ft.Hosts = append(ft.Hosts, hid)
 				ft.hostPod[hid] = int32(p)
 				ft.hostEdge[hid] = int32(e)
-				if _, err := g.AddLink(hid, id, cfg.LinkCapacityBps, cfg.LinkPowerW); err != nil {
+				lid, err := g.AddLink(hid, id, cfg.LinkCapacityBps, cfg.LinkPowerW)
+				if err != nil {
 					return nil, err
 				}
+				ft.hostLink[hid] = int32(lid)
 			}
 		}
 	}
-	// Edge <-> Agg links within each pod (full bipartite).
+	// Edge <-> Agg links within each pod (full bipartite). PathDirsInto
+	// derives link IDs from this order and the agg <-> core order below.
 	for p := 0; p < k; p++ {
 		for e := 0; e < half; e++ {
 			for a := 0; a < half; a++ {
@@ -128,7 +134,7 @@ func New(cfg Config) (*FatTree, error) {
 // Topo returns the underlying graph (the consolidate.Fabric accessor).
 func (ft *FatTree) Topo() *topology.Graph { return ft.Graph }
 
-// LinkCapacityBps returns the uniform link capacity (consolidate.Fabric).
+// LinkCapacityBps returns the uniform link capacity.
 func (ft *FatTree) LinkCapacityBps() float64 { return ft.Cfg.LinkCapacityBps }
 
 // Edge returns the edge switch at (pod, index).
@@ -202,6 +208,95 @@ func (ft *FatTree) Paths(src, dst topology.NodeID) []topology.Path {
 		}
 	}
 	return out
+}
+
+// NumPaths returns how many equal-cost shortest paths Paths(src, dst) would
+// enumerate, without building them.
+func (ft *FatTree) NumPaths(src, dst topology.NodeID) int {
+	if src == dst {
+		return 0
+	}
+	half := ft.Cfg.K / 2
+	sp, se := ft.hostPod[src], ft.hostEdge[src]
+	dp, de := ft.hostPod[dst], ft.hostEdge[dst]
+	switch {
+	case sp == dp && se == de:
+		return 1
+	case sp == dp:
+		return half
+	default:
+		return half * half
+	}
+}
+
+// PathByIndex builds the idx'th path of the canonical Paths(src, dst)
+// enumeration directly, without materializing the other candidates — the
+// ECMP fast path for large fabrics, where enumerating (k/2)² paths per
+// host pair is prohibitive. idx must be in [0, NumPaths(src, dst)).
+func (ft *FatTree) PathByIndex(src, dst topology.NodeID, idx int) topology.Path {
+	return ft.PathByIndexInto(src, dst, idx, nil)
+}
+
+// PathByIndexInto is the scratch-reuse variant of PathByIndex: the path
+// is built into buf's backing array (buf may be nil), so callers probing
+// many candidates — the ECMP route construction probes per ordered host
+// pair — allocate nothing once the scratch has grown to path length.
+func (ft *FatTree) PathByIndexInto(src, dst topology.NodeID, idx int, buf topology.Path) topology.Path {
+	half := ft.Cfg.K / 2
+	sp, se := int(ft.hostPod[src]), int(ft.hostEdge[src])
+	dp, de := int(ft.hostPod[dst]), int(ft.hostEdge[dst])
+	buf = buf[:0]
+	if sp == dp && se == de {
+		return append(buf, src, ft.Edge(sp, se), dst)
+	}
+	if sp == dp {
+		return append(buf, src, ft.Edge(sp, se), ft.Agg(sp, idx), ft.Edge(dp, de), dst)
+	}
+	grp, i := idx/half, idx%half
+	return append(buf,
+		src,
+		ft.Edge(sp, se),
+		ft.Agg(sp, grp),
+		ft.Core(grp, i),
+		ft.Agg(dp, grp),
+		ft.Edge(dp, de),
+		dst,
+	)
+}
+
+// PathDirsInto returns the directed-link indices (topology.Link.DirIndex)
+// of PathByIndex(src, dst, idx), built into buf's backing array (buf may
+// be nil). It computes them from New's link order — host links, then
+// edge→agg by (pod, edge, agg), then agg→core by (pod, agg, core) — with
+// every link stored upward (A is the lower tier), so an upward hop is
+// 2*ID and a downward hop 2*ID+1. Consolidation scores every candidate
+// this way without building its node path or resolving any hop.
+func (ft *FatTree) PathDirsInto(src, dst topology.NodeID, idx int, buf []int) []int {
+	half := ft.Cfg.K / 2
+	hosts := len(ft.Hosts)
+	sp, se := int(ft.hostPod[src]), int(ft.hostEdge[src])
+	dp, de := int(ft.hostPod[dst]), int(ft.hostEdge[dst])
+	up := 2 * int(ft.hostLink[src])
+	down := 2*int(ft.hostLink[dst]) + 1
+	// edgeAgg and aggCore are the link IDs of the two switch tiers.
+	edgeAgg := func(p, e, a int) int { return hosts + (p*half+e)*half + a }
+	aggCore := func(p, a, i int) int { return hosts + ft.Cfg.K*half*half + (p*half+a)*half + i }
+	buf = buf[:0]
+	if sp == dp && se == de {
+		return append(buf, up, down)
+	}
+	if sp == dp {
+		return append(buf, up, 2*edgeAgg(sp, se, idx), 2*edgeAgg(dp, de, idx)+1, down)
+	}
+	grp, i := idx/half, idx%half
+	return append(buf,
+		up,
+		2*edgeAgg(sp, se, grp),
+		2*aggCore(sp, grp, i),
+		2*aggCore(dp, grp, i)+1,
+		2*edgeAgg(dp, de, grp)+1,
+		down,
+	)
 }
 
 // NumAggregationPolicies returns how many Fig 9 consolidation levels exist:

@@ -37,57 +37,3 @@ func (ft *FatTree) Partition(shards int) (*topology.Partition, error) {
 	}
 	return topology.NewPartition(ft.Graph, nodeShard, shards)
 }
-
-// NumPaths returns how many equal-cost shortest paths Paths(src, dst) would
-// enumerate, without building them.
-func (ft *FatTree) NumPaths(src, dst topology.NodeID) int {
-	if src == dst {
-		return 0
-	}
-	half := ft.Cfg.K / 2
-	sp, se := ft.hostPod[src], ft.hostEdge[src]
-	dp, de := ft.hostPod[dst], ft.hostEdge[dst]
-	switch {
-	case sp == dp && se == de:
-		return 1
-	case sp == dp:
-		return half
-	default:
-		return half * half
-	}
-}
-
-// PathByIndex builds the idx'th path of the canonical Paths(src, dst)
-// enumeration directly, without materializing the other candidates — the
-// ECMP fast path for large fabrics, where enumerating (k/2)² paths per
-// host pair is prohibitive. idx must be in [0, NumPaths(src, dst)).
-func (ft *FatTree) PathByIndex(src, dst topology.NodeID, idx int) topology.Path {
-	return ft.PathByIndexInto(src, dst, idx, nil)
-}
-
-// PathByIndexInto is the scratch-reuse variant of PathByIndex: the path
-// is built into buf's backing array (buf may be nil), so callers probing
-// many candidates — the ECMP route construction probes per ordered host
-// pair — allocate nothing once the scratch has grown to path length.
-func (ft *FatTree) PathByIndexInto(src, dst topology.NodeID, idx int, buf topology.Path) topology.Path {
-	half := ft.Cfg.K / 2
-	sp, se := int(ft.hostPod[src]), int(ft.hostEdge[src])
-	dp, de := int(ft.hostPod[dst]), int(ft.hostEdge[dst])
-	buf = buf[:0]
-	if sp == dp && se == de {
-		return append(buf, src, ft.Edge(sp, se), dst)
-	}
-	if sp == dp {
-		return append(buf, src, ft.Edge(sp, se), ft.Agg(sp, idx), ft.Edge(dp, de), dst)
-	}
-	grp, i := idx/half, idx%half
-	return append(buf,
-		src,
-		ft.Edge(sp, se),
-		ft.Agg(sp, grp),
-		ft.Core(grp, i),
-		ft.Agg(dp, grp),
-		ft.Edge(dp, de),
-		dst,
-	)
-}

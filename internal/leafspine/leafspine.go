@@ -93,8 +93,8 @@ func (ls *LeafSpine) HostLeaf(h topology.NodeID) int { return ls.hostLeaf[h] }
 // NumSwitches returns the total switch count.
 func (ls *LeafSpine) NumSwitches() int { return len(ls.Leaves) + len(ls.Spines) }
 
-// Paths implements consolidate.Fabric: one path under a shared leaf,
-// otherwise one candidate per spine.
+// Paths enumerates the candidate paths between two distinct hosts: one
+// path under a shared leaf, otherwise one per spine.
 func (ls *LeafSpine) Paths(src, dst topology.NodeID) []topology.Path {
 	if src == dst {
 		return nil
@@ -108,6 +108,23 @@ func (ls *LeafSpine) Paths(src, dst topology.NodeID) []topology.Path {
 		out = append(out, topology.Path{src, ls.Leaves[sl], spine, ls.Leaves[dl], dst})
 	}
 	return out
+}
+
+// NumPaths implements consolidate.Fabric: len(Paths(src, dst)).
+func (ls *LeafSpine) NumPaths(src, dst topology.NodeID) int {
+	return len(ls.Paths(src, dst))
+}
+
+// PathDirsInto implements consolidate.Fabric: the directed-link indices of
+// the idx'th candidate, built into buf's backing array.
+func (ls *LeafSpine) PathDirsInto(src, dst topology.NodeID, idx int, buf []int) []int {
+	return ls.Paths(src, dst)[idx].DirLinksInto(ls.Graph, buf)
+}
+
+// PathByIndexInto implements consolidate.Fabric: the idx'th candidate,
+// copied into buf's backing array.
+func (ls *LeafSpine) PathByIndexInto(src, dst topology.NodeID, idx int, buf topology.Path) topology.Path {
+	return append(buf[:0], ls.Paths(src, dst)[idx]...)
 }
 
 // NumSpinePolicies returns how many consolidation levels exist: level j

@@ -161,6 +161,27 @@ func (g *Graph) FindLink(a, b NodeID) (LinkID, bool) {
 // nodes must be joined by a link in the graph.
 type Path []NodeID
 
+// HopDir returns the directed-link index (see Link.DirIndex) of the hop
+// from a to b. It panics if a and b are not adjacent, which always
+// indicates a routing bug; every path resolver below shares this check.
+func (g *Graph) HopDir(a, b NodeID) int {
+	id, ok := g.FindLink(a, b)
+	if !ok {
+		panic(fmt.Sprintf("topology: path hop %s-%s has no link", g.nodes[a].Name, g.nodes[b].Name))
+	}
+	return g.links[id].DirIndex(a)
+}
+
+// DirHead returns the node a directed link (see Link.DirIndex) arrives at:
+// B for the A→B direction, A for B→A.
+func (g *Graph) DirHead(dir int) NodeID {
+	l := g.links[dir/2]
+	if dir%2 == 0 {
+		return l.B
+	}
+	return l.A
+}
+
 // Links resolves a path to its link IDs. It panics if consecutive nodes are
 // not adjacent, which always indicates a routing bug.
 func (p Path) Links(g *Graph) []LinkID {
@@ -169,11 +190,7 @@ func (p Path) Links(g *Graph) []LinkID {
 	}
 	out := make([]LinkID, 0, len(p)-1)
 	for i := 0; i+1 < len(p); i++ {
-		id, ok := g.FindLink(p[i], p[i+1])
-		if !ok {
-			panic(fmt.Sprintf("topology: path hop %s-%s has no link", g.nodes[p[i]].Name, g.nodes[p[i+1]].Name))
-		}
-		out = append(out, id)
+		out = append(out, LinkID(g.HopDir(p[i], p[i+1])/2))
 	}
 	return out
 }
@@ -184,11 +201,7 @@ func (p Path) Links(g *Graph) []LinkID {
 func (p Path) DirLinksInto(g *Graph, buf []int) []int {
 	buf = buf[:0]
 	for i := 0; i+1 < len(p); i++ {
-		id, ok := g.FindLink(p[i], p[i+1])
-		if !ok {
-			panic(fmt.Sprintf("topology: path hop %s-%s has no link", g.nodes[p[i]].Name, g.nodes[p[i+1]].Name))
-		}
-		buf = append(buf, g.links[id].DirIndex(p[i]))
+		buf = append(buf, g.HopDir(p[i], p[i+1]))
 	}
 	return buf
 }
@@ -198,15 +211,7 @@ func (p Path) DirLinks(g *Graph) []int {
 	if len(p) < 2 {
 		return nil
 	}
-	out := make([]int, 0, len(p)-1)
-	for i := 0; i+1 < len(p); i++ {
-		id, ok := g.FindLink(p[i], p[i+1])
-		if !ok {
-			panic(fmt.Sprintf("topology: path hop %s-%s has no link", g.nodes[p[i]].Name, g.nodes[p[i+1]].Name))
-		}
-		out = append(out, g.links[id].DirIndex(p[i]))
-	}
-	return out
+	return p.DirLinksInto(g, make([]int, 0, len(p)-1))
 }
 
 // DirHop is one preresolved hop of a path: the directed-link index the hop
@@ -229,11 +234,8 @@ func (p Path) ResolveDirs(g *Graph) []DirHop {
 	}
 	out := make([]DirHop, 0, len(p)-1)
 	for i := 0; i+1 < len(p); i++ {
-		id, ok := g.FindLink(p[i], p[i+1])
-		if !ok {
-			panic(fmt.Sprintf("topology: path hop %s-%s has no link", g.nodes[p[i]].Name, g.nodes[p[i+1]].Name))
-		}
-		out = append(out, DirHop{Dir: g.links[id].DirIndex(p[i]), Link: id, To: p[i+1]})
+		d := g.HopDir(p[i], p[i+1])
+		out = append(out, DirHop{Dir: d, Link: LinkID(d / 2), To: p[i+1]})
 	}
 	return out
 }
@@ -327,8 +329,7 @@ func (a *ActiveSet) NodeOn(id NodeID) bool { return a.nodeOn[id] }
 func (a *ActiveSet) LinkOn(id LinkID) bool { return a.linkOn[id] }
 
 // PathOn reports whether every node and link on the path is powered. It is
-// allocation-free — consolidation calls it once per candidate path. The
-// hop loop resolves every hop (one FindLink each) and keeps scanning past
+// allocation-free. The hop loop resolves every hop and keeps scanning past
 // an off link, preserving Links' panic on a malformed path regardless of
 // where an off link sits.
 func (a *ActiveSet) PathOn(p Path) bool {
@@ -339,13 +340,24 @@ func (a *ActiveSet) PathOn(p Path) bool {
 	}
 	on := true
 	for i := 0; i+1 < len(p); i++ {
-		id, ok := a.g.FindLink(p[i], p[i+1])
-		if !ok {
-			panic(fmt.Sprintf("topology: path hop %s-%s has no link", a.g.nodes[p[i]].Name, a.g.nodes[p[i+1]].Name))
-		}
-		on = on && a.linkOn[id]
+		d := a.g.HopDir(p[i], p[i+1])
+		on = on && a.linkOn[d/2]
 	}
 	return on
+}
+
+// DirsOn reports whether every directed link in dirs (see Link.DirIndex)
+// and both endpoints of each are powered — PathOn for a path already
+// resolved to its directed links. Consolidation calls it once per
+// candidate path.
+func (a *ActiveSet) DirsOn(dirs []int) bool {
+	for _, d := range dirs {
+		l := &a.g.links[d/2]
+		if !a.linkOn[d/2] || !a.nodeOn[l.A] || !a.nodeOn[l.B] {
+			return false
+		}
+	}
+	return true
 }
 
 // Normalize powers off any switch all of whose links are off, and
