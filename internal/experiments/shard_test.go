@@ -9,23 +9,6 @@ import (
 	"eprons/internal/fattree"
 )
 
-// fig10Cells runs a small Fig 10 sweep and renders it in figdump's exact
-// format (%.17g round-trips float64 exactly), so equality here is
-// bit-identity of the figure output.
-func fig10Cells(t *testing.T, cfg NetLatencyConfig) string {
-	t.Helper()
-	rows, err := Fig10AggregationLatency([]int{0, 3}, []float64{0.20}, cfg)
-	if err != nil {
-		t.Fatalf("fig10: %v", err)
-	}
-	out := ""
-	for _, r := range rows {
-		out += fmt.Sprintf("fig10 %d %.17g %.17g %.17g %.17g %d\n",
-			r.Level, r.BgUtil, r.MeanS, r.P95S, r.P99S, r.Dropped)
-	}
-	return out
-}
-
 func fig11Cells(t *testing.T, cfg NetLatencyConfig) string {
 	t.Helper()
 	rows, err := Fig11ScaleFactor([]int{1, 4}, []float64{0.30}, cfg)
