@@ -31,14 +31,14 @@
 #                     wall time is machine-sensitive, allocation counts are
 #                     deterministic). Part of `make check`.
 #   make race       — just the race-detector subset, plus a race-enabled
-#                     -shards 4 smoke sweep of the pod-sharded engine and a
-#                     race-enabled replicated-tier smoke sweep (R=3, hedged
-#                     selection) of the parallel replica harness.
+#                     Fig 10 smoke sweep with two concurrent cell workers
+#                     and a race-enabled replicated-tier smoke sweep (R=3,
+#                     hedged selection) of the parallel replica harness.
 #   make fuzz-short — a bounded run of the native fuzz targets (surge
 #                     multiplier safety, admission hysteresis invariants,
 #                     replica failover conservation under random crash/repair
-#                     schedules, sharded-vs-sequential barrier equivalence,
-#                     analytic-twin monotonicity, route-segment
+#                     schedules, fluid promote/demote vs a dense
+#                     reference, analytic-twin monotonicity, route-segment
 #                     intern/materialize equivalence, consolidation kernel
 #                     vs its frozen node-path reference); FUZZTIME=30s
 #                     lengthens each target's budget.
@@ -54,8 +54,8 @@ GOFMT ?= gofmt
 # The tier-1 benchmark suite tracked across PRs: scheduler hot path,
 # packet pipeline, background-elephant cost (packet vs fluid), FFT/DVFS
 # kernels, the consolidation kernel (Balance at k=32, Greedy at k=16), and
-# the Fig 10 (packet, fluid, k=8, k=16 sequential/sharded, k=32) and Fig 15
-# end-to-end sweeps.
+# the Fig 10 (packet, fluid, k=8, k=16, k=32) and Fig 15 end-to-end
+# sweeps.
 BENCH_PATTERN = 'BenchmarkEngine|BenchmarkNetsimForward|BenchmarkNetsimBackground|BenchmarkFFT|BenchmarkDVFS|BenchmarkAblationConvolution|BenchmarkConsolidate|BenchmarkFig10|BenchmarkFig15DiurnalSavings'
 BENCH_PKGS = . ./internal/sim ./internal/netsim ./internal/fft ./internal/dvfs ./internal/consolidate
 BENCHCOUNT ?= 3
@@ -83,7 +83,7 @@ test:
 
 race:
 	$(GO) test -race ./internal/parallel ./internal/core ./internal/sim ./internal/netsim ./internal/cluster ./internal/faults ./internal/controller ./internal/workload ./internal/experiments ./internal/metrics ./internal/topology ./internal/placement
-	$(GO) run -race ./cmd/netsweep -fig 10 -duration 0.2 -shards 4
+	$(GO) run -race ./cmd/netsweep -fig 10 -duration 0.2 -workers 2
 	$(GO) run -race ./cmd/epronsim -replicas 3 -selection hedged -faultrates 1 -faultdur 0.5
 
 # Each `go test -fuzz` invocation accepts exactly one target, so the
@@ -93,7 +93,6 @@ fuzz-short:
 	$(GO) test -run XXX -fuzz FuzzAdmission -fuzztime $(FUZZTIME) ./internal/cluster
 	$(GO) test -run XXX -fuzz FuzzReplicaFailover -fuzztime $(FUZZTIME) ./internal/cluster
 	$(GO) test -run XXX -fuzz FuzzFluidPromoteDemote -fuzztime $(FUZZTIME) ./internal/netsim
-	$(GO) test -run XXX -fuzz FuzzShardBarrier -fuzztime $(FUZZTIME) ./internal/netsim
 	$(GO) test -run XXX -fuzz FuzzTwinMonotonic -fuzztime $(FUZZTIME) ./internal/twin
 	$(GO) test -run XXX -fuzz FuzzRouteIntern -fuzztime $(FUZZTIME) ./internal/fattree
 	$(GO) test -run XXX -fuzz FuzzConsolidateKernel -fuzztime $(FUZZTIME) ./internal/consolidate

@@ -153,38 +153,18 @@ func BenchmarkFig10K8(b *testing.B) {
 // 1024-host, 320-switch fat-tree at packet fidelity. The fluid engine
 // folds the 240 background elephants and ECMPQueries routes query pairs
 // by direct hash-probed path construction (enumerating 64 candidate paths
-// per pair through the consolidation placer would dominate the run): the
-// sequential engine resolves only the pairs the queries use, on demand,
-// while the sharded engine precomputes all ~1M pair routes. Query traffic
+// per pair through the consolidation placer would dominate the run): only
+// the pairs the queries use resolve, on demand, out of ~1M. Query traffic
 // itself stays packet-level.
-func k16Cfg(shards int) experiments.NetLatencyConfig {
+func k16Cfg() experiments.NetLatencyConfig {
 	return experiments.NetLatencyConfig{
-		DurationS: 0.2, K: 16, Fluid: true, ECMPQueries: true, Shards: shards,
+		DurationS: 0.2, K: 16, Fluid: true, ECMPQueries: true,
 	}
 }
 
-// BenchmarkFig10K16 regenerates a Fig 10 cell on the 16-ary fat-tree with
-// the sequential engine — the single-core packet-fidelity baseline for the
-// sharded engine below.
+// BenchmarkFig10K16 regenerates a Fig 10 cell on the 16-ary fat-tree.
 func BenchmarkFig10K16(b *testing.B) {
-	cfg := k16Cfg(1)
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig10AggregationLatency([]int{0, 3}, []float64{0.20}, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rows[0].P95S*1e6, "us-p95@agg0")
-		b.ReportMetric(rows[1].P95S*1e6, "us-p95@agg3")
-	}
-}
-
-// BenchmarkFig10K16Sharded is the same cell on the pod-sharded engine
-// (4 shards, 4 pods each). Figure output is bit-identical to the
-// sequential benchmark above; the speedup comes from parallel window
-// execution on multi-core machines plus four 4× smaller event heaps (the
-// heap-operation win holds even on a single core).
-func BenchmarkFig10K16Sharded(b *testing.B) {
-	cfg := k16Cfg(4)
+	cfg := k16Cfg()
 	for i := 0; i < b.N; i++ {
 		rows, err := experiments.Fig10AggregationLatency([]int{0, 3}, []float64{0.20}, cfg)
 		if err != nil {
@@ -204,7 +184,7 @@ func BenchmarkFig10K16Sharded(b *testing.B) {
 // traffic, not the pair space.
 func BenchmarkFig10K32(b *testing.B) {
 	cfg := experiments.NetLatencyConfig{
-		DurationS: 0.05, K: 32, Fluid: true, ECMPQueries: true, Shards: 1,
+		DurationS: 0.05, K: 32, Fluid: true, ECMPQueries: true,
 	}
 	for i := 0; i < b.N; i++ {
 		rows, err := experiments.Fig10AggregationLatency([]int{0, 3}, []float64{0.20}, cfg)

@@ -23,7 +23,7 @@ func TestDumpGolden(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var b strings.Builder
-			if err := dump(&b, 1, tc.fluid); err != nil {
+			if err := dump(&b, tc.fluid); err != nil {
 				t.Fatal(err)
 			}
 			golden.Check(t, filepath.Join("testdata", tc.name+".txt"), b.String())

@@ -3,21 +3,13 @@
 // per data point, to the file given as its argument (or stdout with "-").
 //
 // Its purpose is the simulator's bit-identity contract: any change to the
-// event scheduler or packet pipeline must leave every figure untouched, so
-// perf PRs dump the series before and after and diff the files:
+// event scheduler, the packet pipeline, routing or the planner must leave
+// every figure untouched. TestDumpGolden enforces it on every test run by
+// comparing the dump, with the fluid engine off and on, to the committed
+// testdata/plain.txt and testdata/fluid.txt; a change that moves a figure
+// on purpose regenerates them and says why:
 //
-//	go run ./cmd/figdump before.txt
-//	<make the change>
-//	go run ./cmd/figdump after.txt
-//	diff before.txt after.txt   # must be empty
-//
-// The same contract covers the pod-sharded parallel engine: figdump output
-// is identical for every -shards value (Fig 13/15 are planner-model
-// computations with no packet simulation, so only Fig 10/11 exercise it):
-//
-//	go run ./cmd/figdump -shards 1 a.txt
-//	go run ./cmd/figdump -shards 4 b.txt
-//	diff a.txt b.txt            # must be empty
+//	go test ./cmd/figdump -update
 //
 // The sweep shapes are deliberately small (the benchmark configurations,
 // a few seconds of CPU) — this is a regression tripwire, not a paper
@@ -33,8 +25,8 @@ import (
 	"eprons/internal/experiments"
 )
 
-func dump(w io.Writer, shards int, fluid bool) error {
-	cfg := experiments.NetLatencyConfig{DurationS: 1.5, Shards: shards, Fluid: fluid}
+func dump(w io.Writer, fluid bool) error {
+	cfg := experiments.NetLatencyConfig{DurationS: 1.5, Fluid: fluid}
 	rows10, err := experiments.Fig10AggregationLatency([]int{0, 3}, []float64{0.20}, cfg)
 	if err != nil {
 		return err
@@ -69,11 +61,10 @@ func dump(w io.Writer, shards int, fluid bool) error {
 }
 
 func main() {
-	shards := flag.Int("shards", 1, "pod shards for the packet simulations (1 = sequential engine; output is identical for every value)")
 	fluid := flag.Bool("fluid", false, "hybrid fluid/packet background engine for the packet simulations")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: figdump [-shards n] [-fluid] <out-file|->")
+		fmt.Fprintln(os.Stderr, "usage: figdump [-fluid] <out-file|->")
 		os.Exit(2)
 	}
 	var w io.Writer = os.Stdout
@@ -86,7 +77,7 @@ func main() {
 		defer f.Close()
 		w = f
 	}
-	if err := dump(w, *shards, *fluid); err != nil {
+	if err := dump(w, *fluid); err != nil {
 		fmt.Fprintln(os.Stderr, "figdump:", err)
 		os.Exit(1)
 	}

@@ -11,6 +11,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 	"strconv"
 
 	"eprons/internal/experiments"
@@ -26,9 +27,13 @@ func main() {
 	csvOut := flag.Bool("csv", false, "emit tables as CSV")
 	kArity := flag.Int("k", 4, "fat-tree arity (8 for the large-fabric sweep; background flows grow as k^2)")
 	fluid := flag.Bool("fluid", false, "hybrid fluid/packet background engine: fold uncongested background elephants into analytic link reservations (order-of-magnitude fewer events; off = bit-identical packet-level simulation)")
-	shards := flag.Int("shards", 1, "pod shards per packet simulation (conservative lockstep windows; figures are bit-identical for every value; 1 = sequential engine, -1 = one shard per available core, capped at k)")
 	flag.Parse()
-	cfg := experiments.NetLatencyConfig{DurationS: *duration, QueryRate: *rate, Seed: *seed, Workers: *workers, K: *kArity, Fluid: *fluid, Shards: *shards}
+	if *fig != "10" && *fig != "11" && *fig != "all" {
+		fmt.Fprintf(os.Stderr, "netsweep: unknown -fig %q\n", *fig)
+		flag.Usage()
+		os.Exit(2)
+	}
+	cfg := experiments.NetLatencyConfig{DurationS: *duration, QueryRate: *rate, Seed: *seed, Workers: *workers, K: *kArity, Fluid: *fluid}
 
 	if *fig == "10" || *fig == "all" {
 		rows, err := experiments.Fig10AggregationLatency(

@@ -46,7 +46,6 @@ func main() {
 	quick := flag.Bool("quick", true, "coarse grids (fast); -quick=false reproduces EXPERIMENTS.md exactly")
 	workers := flag.Int("workers", parallel.DefaultWorkers(), "sweep/training concurrency (<=1 runs sequentially, figures are identical either way)")
 	fluid := flag.Bool("fluid", false, "hybrid fluid/packet background engine for the packet simulations (order-of-magnitude fewer events; off = bit-identical packet-level figures)")
-	shards := flag.Int("shards", 1, "pod shards per packet simulation (conservative lockstep windows; figures are bit-identical for every value; 1 = sequential engine, -1 = one shard per available core)")
 	flag.Parse()
 	outDir = *out
 	if err := os.MkdirAll(outDir, 0o755); err != nil {
@@ -120,7 +119,7 @@ func main() {
 
 	// Fig 10.
 	fmt.Println("Fig 10: aggregation latency (packet simulation)")
-	cfgNet := experiments.NetLatencyConfig{DurationS: dur, Workers: *workers, Fluid: *fluid, Shards: *shards}
+	cfgNet := experiments.NetLatencyConfig{DurationS: dur, Workers: *workers, Fluid: *fluid}
 	rows10, err := experiments.Fig10AggregationLatency([]int{0, 1, 2, 3}, []float64{0.05, 0.20, 0.30}, cfgNet)
 	if err != nil {
 		log.Fatal(err)

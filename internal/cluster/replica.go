@@ -371,8 +371,9 @@ func (c *Cluster) replicaRequestArrived(sq *rsub, gen, target int, base, netLat 
 		}
 	}
 	c.stats.SlackGranted.Add(slack)
+	c.nextID++
 	req := &server.Request{
-		ID:             c.nextRequestID(target),
+		ID:             c.nextID,
 		Arrival:        now,
 		BaseServiceS:   base,
 		ServerDeadline: now + c.Cfg.ServerBudget,

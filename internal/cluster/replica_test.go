@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"errors"
 	"testing"
 
 	"eprons/internal/fattree"
@@ -262,39 +261,6 @@ func TestReplicatedDeterministic(t *testing.T) {
 			a.QueryLatency.Mean() != b.QueryLatency.Mean() {
 			t.Fatalf("%v: runs diverged: %+v vs %+v", sel, a, b)
 		}
-	}
-}
-
-// Replica options are outside the sharded envelope and must be rejected
-// with the descriptive sentinel naming the offending option.
-func TestShardEnvelopeNamesReplicas(t *testing.T) {
-	err := func() error {
-		ft, err := fattree.New(fattree.DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng := sim.New()
-		net := netsim.New(eng, ft.Graph, netsim.DefaultConfig())
-		part, err := ft.Partition(2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		se := sim.NewSharded(eng, part.Shards, netsim.DefaultConfig().HopDelay)
-		defer se.Close()
-		if err := net.Shard(se, part); err != nil {
-			t.Fatal(err)
-		}
-		d, err := workload.ServiceDist(workload.DefaultServiceConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := DefaultConfig(d, func(host, core int) server.Policy { return maxFreqFactory(host, core) })
-		cfg.Replicas = 3
-		_, err = New(net, ft.Hosts, cfg)
-		return err
-	}()
-	if !errors.Is(err, ErrShardEnvelope) {
-		t.Fatalf("err=%v, want ErrShardEnvelope", err)
 	}
 }
 

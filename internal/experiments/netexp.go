@@ -202,31 +202,27 @@ type NetLatencyConfig struct {
 	// simulator with it off, and within the pinned statistical
 	// tolerance (TestFig10FluidTolerance) with it on.
 	Fluid bool
-	// Shards splits each cell's packet simulation across pod shards run in
-	// conservative lockstep windows (sim.Sharded): shard s owns a block of
-	// pods — its servers, edge/agg switches and intra-pod links — and
-	// cross-pod packets cross shards at window barriers bounded by the
-	// per-hop lookahead. 0 or 1 is the historical sequential engine; n > 1
-	// uses n shards (clamped to the pod count); < 0 picks
-	// min(parallel.DefaultWorkers(), K). Figure output is identical to the
-	// sequential engine for every shard count (TestShardedFigEquivalence).
+	// Deprecated: Shards selected the retired pod-sharded engine. Every
+	// cell now runs on one sequential engine; 0 and 1 are accepted and
+	// mean the same, and any other value is rejected with an error.
 	Shards int
 	// ECMPQueries routes query-pair traffic directly over deterministic
 	// hash-selected ECMP shortest paths restricted to the active set,
 	// instead of handing one flow per ordered host pair to the
 	// consolidation placer; background flows are still placed by the
-	// consolidator. The sequential engine resolves each pair's route on
-	// demand the first time the pair carries traffic, so only the pairs a
-	// run uses cost anything — what makes k ≥ 16 fabrics (≥ 1M host
-	// pairs) runnable. The sharded engine cannot resolve on demand and
-	// precomputes all hosts² pair routes instead; both pick the same
-	// paths. A used pair with no active ECMP path fails the cell with
+	// consolidator. Each pair's route resolves on demand the first time
+	// the pair carries traffic, so only the pairs a run uses cost
+	// anything — what makes k ≥ 16 fabrics (≥ 1M host pairs) runnable. A
+	// used pair with no active ECMP path fails the cell with
 	// ErrInfeasible. Off by default: the figure experiments keep the
 	// paper's reservation-aware placement.
 	ECMPQueries bool
 }
 
-func (c *NetLatencyConfig) fill() {
+func (c *NetLatencyConfig) fill() error {
+	if c.Shards != 0 && c.Shards != 1 {
+		return fmt.Errorf("experiments: NetLatencyConfig.Shards = %d: the sharded engine is retired; leave Shards at 0 or 1", c.Shards)
+	}
 	if c.DurationS <= 0 {
 		c.DurationS = 3
 	}
@@ -242,30 +238,17 @@ func (c *NetLatencyConfig) fill() {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-}
-
-// shardCount resolves the Shards knob against the pod count k.
-func (c *NetLatencyConfig) shardCount(k int) int {
-	n := c.Shards
-	if n < 0 {
-		n = parallel.DefaultWorkers()
-	}
-	if n > k {
-		n = k
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return nil
 }
 
 // legacyBgIDMaxPairs decides where background flow IDs start. Every
 // configuration numbers its elephants from the historical base
-// legacyBgIDBase, except sequential-engine ECMP runs on fabrics with more
-// than legacyBgIDMaxPairs ordered host pairs (k ≥ 24), which start at
-// hosts², outside the query-pair ID space. The historical base lies inside
-// that space once hosts² > 50000 (10 ≤ k ≤ 20), and the pinned k=16
-// figures depend on the resulting overlap (see resolveECMPOnDemand).
+// legacyBgIDBase, except ECMP runs on fabrics with more than
+// legacyBgIDMaxPairs ordered host pairs (k ≥ 24), which start at hosts²,
+// outside the query-pair ID space. The historical base lies inside that
+// space once hosts² > 50000 (10 ≤ k ≤ 20), and the pinned k=10 and k=16
+// figures depend on the resulting overlap (see resolveECMPOnDemand and
+// testdata/golden/fig10_ecmp.txt).
 const (
 	legacyBgIDMaxPairs = 4 << 20
 	legacyBgIDBase     = 50000
@@ -274,8 +257,8 @@ const (
 // ecmpPath returns the deterministic hash-probed active ECMP shortest
 // path for ordered host pair (i, j), built into buf's backing (pass the
 // returned path back as buf to probe the next pair without allocating).
-// The probe order is a murmur-style hash of the pair, so reruns, shard
-// counts and the eager/lazy construction modes all pick the same path.
+// The probe order is a murmur-style hash of the pair, so every rerun
+// picks the same path whichever pair resolves first.
 func ecmpPath(ft *fattree.FatTree, active *topology.ActiveSet, i, j int, buf topology.Path) (topology.Path, bool) {
 	src, dst := ft.Hosts[i], ft.Hosts[j]
 	np := ft.NumPaths(src, dst)
@@ -293,54 +276,16 @@ func ecmpPath(ft *fattree.FatTree, active *topology.ActiveSet, i, j int, buf top
 	return buf, false
 }
 
-// ecmpQueryRoutes installs one active ECMP shortest path per ordered host
-// pair up front, chosen by the same hash probe the on-demand resolver
-// uses. Only the sharded engine needs it: shards cannot intern routes
-// from traffic context. With the interned route plane the whole table
-// costs one small RouteRef per pair plus the shared segment arena.
-func ecmpQueryRoutes(net *netsim.Network, cl *cluster.Cluster, ft *fattree.FatTree, active *topology.ActiveSet) error {
-	hosts := ft.Hosts
-	var scratch topology.Path
-	for i := range hosts {
-		for j := range hosts {
-			if i == j {
-				continue
-			}
-			p, ok := ecmpPath(ft, active, i, j, scratch)
-			scratch = p
-			if !ok {
-				return fmt.Errorf("%w: no active ECMP path host %d→%d", ErrInfeasible, i, j)
-			}
-			if err := net.SetRoute(cl.FlowID(i, j), p); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// reserveEagerECMP presizes the route table and arena so the eager
-// all-pairs sweep appends into backing that never reallocates. Pair IDs
-// are dense in [0, hosts²), so the dense route tier covers every flow;
-// segment/hop counts are sized from the measured interning ratio
-// (~pairs/7 segments, ~pairs/2.5 hops at k=16) with ~20% slack —
-// undershoot just falls back to append growth.
-func reserveEagerECMP(net *netsim.Network, hosts int) {
-	pairs := hosts * hosts
-	net.ReserveRoutes(pairs)
-	net.Arena().Reserve(pairs/6, pairs/2)
-}
-
-// resolveECMPOnDemand installs the sequential engine's on-demand query
-// route plane: a pair's ECMP path is built and interned the first time
+// resolveECMPOnDemand installs the on-demand query route plane: a pair's ECMP path is built and interned the first time
 // the pair carries traffic. A pair with no active path resolves to nil
 // and its messages drop; the returned func reports the first such pair
 // as ErrInfeasible, for the caller to check after the run.
 //
 // Background flows whose IDs fall inside the pair space first get their
-// pair's ECMP route in place of their placed one, exactly as the
-// precomputed all-pairs sweep overwrites them. A diagonal ID (i == j) is
-// no pair and keeps its placed route.
+// pair's ECMP route in place of their placed one: the figures were first
+// produced by a sweep that installed every pair's route over the placed
+// ones, and the pinned k=10 and k=16 figures keep that result. A diagonal
+// ID (i == j) is no pair and keeps its placed route.
 func resolveECMPOnDemand(net *netsim.Network, ft *fattree.FatTree, act *topology.ActiveSet, bgFlows []flow.Flow) (func() error, error) {
 	hosts := int64(len(ft.Hosts))
 	var scratch topology.Path
@@ -407,20 +352,6 @@ func measureNetwork(active *topology.ActiveSet, ft *fattree.FatTree, bgUtil floa
 	ncfg := netsim.DefaultConfig()
 	ncfg.FluidBackground = cfg.Fluid
 	net := netsim.New(eng, ft.Graph, ncfg)
-	run := eng.Run
-	shards := cfg.shardCount(ft.Cfg.K)
-	if shards > 1 {
-		part, err := ft.Partition(shards)
-		if err != nil {
-			return nil, 0, err
-		}
-		se := sim.NewSharded(eng, part.Shards, ncfg.HopDelay)
-		defer se.Close()
-		if err := net.Shard(se, part); err != nil {
-			return nil, 0, err
-		}
-		run = se.Run
-	}
 	d, err := workload.ServiceDist(workload.DefaultServiceConfig())
 	if err != nil {
 		return nil, 0, err
@@ -436,7 +367,7 @@ func measureNetwork(active *topology.ActiveSet, ft *fattree.FatTree, bgUtil floa
 	hosts := len(ft.Hosts)
 	var bgFlows []flow.Flow
 	fid := flow.ID(legacyBgIDBase)
-	if cfg.ECMPQueries && shards <= 1 && hosts*hosts > legacyBgIDMaxPairs {
+	if cfg.ECMPQueries && hosts*hosts > legacyBgIDMaxPairs {
 		fid = flow.ID(hosts * hosts)
 	}
 	k := ft.Cfg.K
@@ -487,14 +418,6 @@ func measureNetwork(active *topology.ActiveSet, ft *fattree.FatTree, bgUtil floa
 	} else {
 		net.SetActive(placed.Active)
 	}
-	eagerECMP := cfg.ECMPQueries && shards > 1
-	if eagerECMP {
-		// Presize the route table and arena BEFORE the first interning
-		// (InstallRoutes below): the eager all-pairs sweep is about to
-		// install hosts² routes, and the arena presizes its lookup map
-		// only while still empty.
-		reserveEagerECMP(net, hosts)
-	}
 	if err := net.InstallRoutes(placed.Paths); err != nil {
 		return nil, 0, err
 	}
@@ -504,11 +427,7 @@ func measureNetwork(active *topology.ActiveSet, ft *fattree.FatTree, bgUtil floa
 		if act == nil {
 			act = placed.Active
 		}
-		if eagerECMP {
-			err = ecmpQueryRoutes(net, cl, ft, act)
-		} else {
-			missed, err = resolveECMPOnDemand(net, ft, act, bgFlows)
-		}
+		missed, err = resolveECMPOnDemand(net, ft, act, bgFlows)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -522,10 +441,10 @@ func measureNetwork(active *topology.ActiveSet, ft *fattree.FatTree, bgUtil floa
 	bgs := net.StartBackgrounds(specs)
 	sampler := workload.NewSampler(d, cfg.Seed+5)
 	stop := cl.StartPoisson(func() float64 { return cfg.QueryRate }, sampler.Draw, cfg.Seed+11)
-	run(cfg.DurationS)
+	eng.Run(cfg.DurationS)
 	stop()
 	net.StopBackgrounds(bgs)
-	run(cfg.DurationS + 0.5)
+	eng.Run(cfg.DurationS + 0.5)
 	if err := missed(); err != nil {
 		return nil, 0, err
 	}
@@ -541,7 +460,9 @@ func Fig10AggregationLatency(levels []int, bgUtils []float64, cfg NetLatencyConf
 	if cfg.QueryReserveBps == 0 {
 		cfg.QueryReserveBps = 1
 	}
-	cfg.fill()
+	if err := cfg.fill(); err != nil {
+		return nil, err
+	}
 	ftCfg := fattree.DefaultConfig()
 	ftCfg.K = cfg.K
 	ft, err := fattree.New(ftCfg)
@@ -580,7 +501,9 @@ type Fig11Row struct {
 // policy): larger K activates more switches and lowers tail latency — the
 // Fig 11(a)/(b)/(c) trade-off.
 func Fig11ScaleFactor(ks []int, bgUtils []float64, cfg NetLatencyConfig) ([]Fig11Row, error) {
-	cfg.fill()
+	if err := cfg.fill(); err != nil {
+		return nil, err
+	}
 	ftCfg := fattree.DefaultConfig()
 	ftCfg.K = cfg.K
 	ft, err := fattree.New(ftCfg)

@@ -107,7 +107,9 @@ func TwinCheck(cfg TwinCheckConfig) (*TwinCheckSummary, error) {
 	if cfg.Net.QueryReserveBps == 0 {
 		cfg.Net.QueryReserveBps = 1
 	}
-	cfg.Net.fill()
+	if err := cfg.Net.fill(); err != nil {
+		return nil, err
+	}
 	ftCfg := fattree.DefaultConfig()
 	ftCfg.K = cfg.Net.K
 	ft, err := fattree.New(ftCfg)

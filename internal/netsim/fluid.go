@@ -71,11 +71,6 @@ type fluidSource struct {
 	// arm/fire are the exact packet-mode closures (same draws, same
 	// 10 ms pause re-poll) used whenever the source is demoted.
 	arm, fire func()
-	// seng is the engine the packet-mode loop runs on: the network engine
-	// in sequential mode, the source shard's engine in sharded mode (so a
-	// demoted elephant's packets originate inside the shard that owns its
-	// first hop). Pending-event cancellation must go through it.
-	seng *sim.Engine
 	// pend is the single outstanding arm/fire event while in packet
 	// mode; promotion cancels it so a later demotion cannot leave two
 	// live loops.
@@ -180,12 +175,6 @@ func (n *Network) startFluidBackgrounds(bs []*Background, specs []BackgroundSpec
 // to the registry; the caller runs the reevaluation.
 func (n *Network) addFluidSource(b *Background, fid flow.ID, rate func() float64, stream *rng.Stream, bits float64) {
 	s := &fluidSource{fid: fid, rate: rate, stream: stream, b: b}
-	s.seng = n.eng
-	if n.shd != nil {
-		if rt, ok := n.routes.get(fid); ok && rt.NumHops() > 0 {
-			s.seng = n.shd.sh[n.shd.dir[n.arena.FirstDir(rt)]].eng
-		}
-	}
 	b.n = n
 	b.src = s
 	// The exact packet-mode loop (see StartBackground): the only
@@ -198,11 +187,11 @@ func (n *Network) addFluidSource(b *Background, fid flow.ID, rate func() float64
 		}
 		r := s.rate()
 		if r <= 0 {
-			s.pend = s.seng.After(10e-3, s.arm)
+			s.pend = n.eng.After(10e-3, s.arm)
 			s.hasPend = true
 			return
 		}
-		s.pend = s.seng.After(s.stream.Exp(bits/r), s.fire)
+		s.pend = n.eng.After(s.stream.Exp(bits/r), s.fire)
 		s.hasPend = true
 	}
 	s.fire = func() {
@@ -211,26 +200,14 @@ func (n *Network) addFluidSource(b *Background, fid flow.ID, rate func() float64
 			return
 		}
 		if rt, ok := n.lookupRoute(s.fid); ok {
-			if n.shd != nil {
-				sh := &n.shd.sh[n.shd.dir[n.arena.FirstDir(rt)]]
-				pk := n.acquirePacketShard(sh)
-				pk.fid = s.fid
-				pk.rt = rt
-				pk.bytes = int32(n.Cfg.PacketBytes)
-				pk.hop = 0
-				pk.hi = n.highPrio[s.fid]
-				pk.msg = nil
-				n.stepShard(pk)
-			} else {
-				pk := n.acquirePacket()
-				pk.fid = s.fid
-				pk.rt = rt
-				pk.bytes = int32(n.Cfg.PacketBytes)
-				pk.hop = 0
-				pk.hi = n.highPrio[s.fid]
-				pk.msg = nil
-				n.stepPacket(pk)
-			}
+			pk := n.acquirePacket()
+			pk.fid = s.fid
+			pk.rt = rt
+			pk.bytes = int32(n.Cfg.PacketBytes)
+			pk.hop = 0
+			pk.hi = n.highPrio[s.fid]
+			pk.msg = nil
+			n.stepPacket(pk)
 		}
 		s.arm()
 	}
@@ -262,7 +239,7 @@ func (n *Network) stopFluidSources(bs []*Background) {
 			s.fluid = false
 		}
 		if s.hasPend {
-			s.seng.Cancel(s.pend)
+			n.eng.Cancel(s.pend)
 			s.hasPend = false
 		}
 		if f.byFid[s.fid] == s {
@@ -465,7 +442,7 @@ func (n *Network) fluidReevaluate() {
 			s.lastAccrue = now
 			s.frac = 0
 			if s.hasPend {
-				s.seng.Cancel(s.pend)
+				n.eng.Cancel(s.pend)
 				s.hasPend = false
 			}
 		case !want && s.fluid:

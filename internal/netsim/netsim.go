@@ -196,10 +196,6 @@ type Network struct {
 	// until the first StartBackground under Cfg.FluidBackground.
 	fluid *fluidState
 
-	// shd carries the sharded-execution state (see shard.go); nil in
-	// sequential mode, which keeps every sequential code path untouched.
-	shd *sharding
-
 	// pktFree and msgFree pool the per-packet and per-message structs of
 	// the forwarding pipeline. Both are bounded by the in-flight high-water
 	// mark; in steady state SendMessage allocates nothing but whatever the
@@ -349,10 +345,11 @@ func (t *routeTable) set(id flow.ID, r topology.RouteRef) {
 }
 
 // ReserveRoutes switches the route table's dense tier to cover flow IDs
-// [0, pairs): callers about to install a large pair-keyed route set (the
-// all-to-all ECMP table, eager or resolver-fed) declare its extent once
-// and every route in that space costs 12 bytes in a flat slice instead of
-// a map entry. Entries already installed in the covered range migrate.
+// [0, pairs): a caller about to install a large pair-keyed route set
+// declares its extent once and every route in that space costs 12 bytes
+// in a flat slice instead of a map entry. Entries already installed in
+// the covered range migrate. The experiment harnesses resolve pair
+// routes on demand and never call it; the benchmark harness still does.
 func (n *Network) ReserveRoutes(pairs int) {
 	if pairs <= len(n.routes.dense) {
 		return
@@ -434,13 +431,9 @@ func (n *Network) InstallRoutes(paths map[flow.ID]topology.Path) error {
 // SetRoute had been called, and a nil return means "no route" (not
 // cached — the next reference asks again). This is what lets large
 // fabrics skip precomputing the all-pairs route table: only pairs that
-// actually exchange traffic ever intern a route. Rejected in sharded
-// mode, where resolution would mutate the route map and arena from
-// shard contexts.
+// actually exchange traffic ever intern a route. The error result is
+// always nil; it is kept for existing callers.
 func (n *Network) SetRouteResolver(f func(flow.ID) topology.Path) error {
-	if n.shd != nil && f != nil {
-		return fmt.Errorf("netsim: sharded execution does not support a route resolver")
-	}
 	n.resolver = f
 	return nil
 }
@@ -553,10 +546,6 @@ func (n *Network) releasePacket(p *packet) {
 // delivered. Packet-level drops are counted in Dropped, message-level
 // drops in MsgDropped.
 func (n *Network) SendMessage(fid flow.ID, size int, onDelivered func(latency float64), onDropped func()) {
-	if n.shd != nil {
-		n.sendShard(fid, size, onDelivered, onDropped)
-		return
-	}
 	rt, ok := n.lookupRoute(fid)
 	if !ok || rt.NumHops() == 0 {
 		n.OfferedBytes += int64(size)
@@ -791,11 +780,7 @@ func (n *Network) startBackgrounds(bs []*Background, specs []BackgroundSpec) {
 		return
 	}
 	for i, sp := range specs {
-		if n.shd != nil {
-			n.startShardBackground(bs[i], sp.ID, sp.Rate, sp.Stream, bits)
-		} else {
-			n.startPacketBackground(bs[i], sp.ID, sp.Rate, sp.Stream, bits)
-		}
+		n.startPacketBackground(bs[i], sp.ID, sp.Rate, sp.Stream, bits)
 	}
 }
 
@@ -855,7 +840,6 @@ func (n *Network) LinkBytesInto(out map[topology.LinkID]int64) map[topology.Link
 	} else {
 		clear(out)
 	}
-	n.SyncStats()
 	n.fluidAccrueAll()
 	for i := range n.links {
 		if n.links[i].bytes != 0 {
@@ -884,7 +868,6 @@ func (n *Network) LinkUtilizationInto(out map[topology.LinkID]float64, window fl
 	if window <= 0 {
 		return out
 	}
-	n.SyncStats()
 	n.fluidAccrueAll()
 	for i := range n.links {
 		b := n.links[i].bytes
@@ -918,7 +901,6 @@ func (n *Network) FlowRatesInto(out map[flow.ID]float64, window float64) map[flo
 	if window <= 0 {
 		return out
 	}
-	n.SyncStats()
 	n.fluidAccrueAll()
 	for id, b := range n.flowBytes {
 		out[id] = float64(b) * 8 / window
@@ -931,7 +913,6 @@ func (n *Network) FlowRatesInto(out map[flow.ID]float64, window float64) map[flo
 // background bytes accrue first, so a read-then-reset cycle never loses
 // analytic bytes.
 func (n *Network) ResetStats() {
-	n.SyncStats()
 	n.fluidAccrueAll()
 	for i := range n.links {
 		n.links[i].bytes = 0

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"eprons/internal/fattree"
 	"eprons/internal/flow"
 	"eprons/internal/rng"
 	"eprons/internal/sim"
@@ -268,47 +267,6 @@ func TestRouteResolverOnDemand(t *testing.T) {
 	}
 	if n.Dropped != 2 {
 		t.Errorf("Dropped = %d, want 2 (unresolvable flow)", n.Dropped)
-	}
-}
-
-// TestShardedRejectsResolver: on-demand resolution mutates the route map
-// and arena from traffic context, which the pod-sharded engine cannot
-// allow — both orderings of Shard and SetRouteResolver must fail, and
-// clearing a resolver must stay legal.
-func TestShardedRejectsResolver(t *testing.T) {
-	build := func() (*Network, *sim.Sharded, *topology.Partition) {
-		ft, err := fattree.New(fattree.DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		part, err := ft.Partition(2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng := sim.New()
-		se := sim.NewSharded(eng, part.Shards, DefaultConfig().HopDelay)
-		t.Cleanup(se.Close)
-		return New(eng, ft.Graph, DefaultConfig()), se, part
-	}
-	resolver := func(flow.ID) topology.Path { return nil }
-
-	n, se, part := build()
-	if err := n.SetRouteResolver(resolver); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Shard(se, part); err == nil {
-		t.Error("Shard accepted a network with a route resolver installed")
-	}
-
-	n2, se2, part2 := build()
-	if err := n2.Shard(se2, part2); err != nil {
-		t.Fatal(err)
-	}
-	if err := n2.SetRouteResolver(resolver); err == nil {
-		t.Error("SetRouteResolver accepted a sharded network")
-	}
-	if err := n2.SetRouteResolver(nil); err != nil {
-		t.Errorf("clearing the resolver on a sharded network failed: %v", err)
 	}
 }
 

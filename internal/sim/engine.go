@@ -197,63 +197,6 @@ func (e *Engine) release(slot int32) {
 // Stop makes the current Run return after the in-flight event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
-// PeekTime reports the time of the earliest live event without executing
-// it. Lazily-cancelled entries encountered at the root are discarded on the
-// way (amortized O(1)). ok is false when no live event is scheduled.
-func (e *Engine) PeekTime() (t float64, ok bool) {
-	for e.hn > 0 {
-		top := *e.hat(0)
-		if e.eat(top.slot).state == stateCancelled {
-			e.popRoot()
-			e.release(top.slot)
-			continue
-		}
-		return top.time, true
-	}
-	return 0, false
-}
-
-// RunBefore executes events in time order while the next event fires
-// strictly before until. Unlike Run it never advances the clock past the
-// last executed event: the caller owns the final clock position (see
-// AdvanceTo). It is the window-execution primitive of the sharded engine —
-// a shard runs [now, until) and the barrier then advances every shard to
-// exactly until.
-func (e *Engine) RunBefore(until float64) {
-	e.stopped = false
-	for e.hn > 0 && !e.stopped {
-		top := *e.hat(0)
-		if top.time >= until {
-			break
-		}
-		e.popRoot()
-		ev := e.eat(top.slot)
-		if ev.state == stateCancelled {
-			e.release(top.slot)
-			continue
-		}
-		fn := ev.fn
-		e.release(top.slot) // fn may Schedule and reuse the slot
-		e.live--
-		e.now = top.time
-		e.Processed++
-		fn()
-	}
-}
-
-// AdvanceTo moves the clock forward to t without executing anything.
-// Advancing backwards, or past a pending event, panics — either would
-// silently reorder time.
-func (e *Engine) AdvanceTo(t float64) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: advance to %g before now %g", t, e.now))
-	}
-	if tt, ok := e.PeekTime(); ok && tt < t {
-		panic(fmt.Sprintf("sim: advance to %g past pending event at %g", t, tt))
-	}
-	e.now = t
-}
-
 // Run executes events in time order until the queue drains or the next
 // event would fire after until. The clock is left at the time of the last
 // executed event (or at until if it advanced past every event).
