@@ -202,9 +202,11 @@ type NetLatencyConfig struct {
 	// simulator with it off, and within the pinned statistical
 	// tolerance (TestFig10FluidTolerance) with it on.
 	Fluid bool
-	// Deprecated: Shards selected the retired pod-sharded engine. Every
-	// cell now runs on one sequential engine; 0 and 1 are accepted and
-	// mean the same, and any other value is rejected with an error.
+	// Shards must be 0 or 1; any other value is rejected with an error.
+	// Every cell runs on one engine.
+	//
+	// Deprecated: Shards selected the retired pod-sharded engine. It
+	// remains only while the benchmark harness still sets it.
 	Shards int
 	// ECMPQueries routes query-pair traffic directly over deterministic
 	// hash-selected ECMP shortest paths restricted to the active set,
@@ -276,10 +278,11 @@ func ecmpPath(ft *fattree.FatTree, active *topology.ActiveSet, i, j int, buf top
 	return buf, false
 }
 
-// resolveECMPOnDemand installs the on-demand query route plane: a pair's ECMP path is built and interned the first time
-// the pair carries traffic. A pair with no active path resolves to nil
-// and its messages drop; the returned func reports the first such pair
-// as ErrInfeasible, for the caller to check after the run.
+// resolveECMPOnDemand installs the on-demand query route plane: a pair's
+// ECMP path is built and interned the first time the pair carries
+// traffic. A pair with no active path resolves to nil and its messages
+// drop; the returned func reports the first such pair as ErrInfeasible,
+// for the caller to check after the run.
 //
 // Background flows whose IDs fall inside the pair space first get their
 // pair's ECMP route in place of their placed one: the figures were first
