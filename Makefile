@@ -13,9 +13,10 @@
 #                     for the replicated search tier).
 #   make lint       — gofmt (must be clean) + go vet.
 #   make bench      — the allocation/latency benchmarks the perf work tracks
-#                     (engine scheduling/cancellation, packet forwarding,
-#                     background elephants packet vs fluid, FFT convolution
-#                     reuse, DVFS decide, consolidation at k=16/k=32, Fig 10
+#                     (engine scheduling/cancellation, packet forwarding
+#                     with shallow and deep FIFO queues, background
+#                     elephants packet vs fluid, FFT convolution reuse,
+#                     DVFS decide, consolidation at k=16/k=32, Fig 10
 #                     end-to-end packet/fluid/k=8, Fig 15 end-to-end).
 #   make bench-json — run the tier-1 benches and snapshot them to
 #                     BENCH_<n>.json (name, ns/op, B/op, allocs/op) so the
@@ -40,7 +41,8 @@
 #                     schedules, fluid promote/demote vs a dense
 #                     reference, analytic-twin monotonicity, route-segment
 #                     intern/materialize equivalence, consolidation kernel
-#                     vs its frozen node-path reference); FUZZTIME=30s
+#                     vs its frozen node-path reference, running hedge
+#                     quantile vs the exact tracker); FUZZTIME=30s
 #                     lengthens each target's budget.
 #   make twincheck  — validate the closed-form analytic twin against the
 #                     DES on the Fig 10 grid and the trained server table
@@ -52,10 +54,10 @@ FUZZTIME ?= 10s
 GOFMT ?= gofmt
 
 # The tier-1 benchmark suite tracked across PRs: scheduler hot path,
-# packet pipeline, background-elephant cost (packet vs fluid), FFT/DVFS
-# kernels, the consolidation kernel (Balance at k=32, Greedy at k=16), and
-# the Fig 10 (packet, fluid, k=8, k=16, k=32) and Fig 15 end-to-end
-# sweeps.
+# packet pipeline (shallow and deep FIFO queues), background-elephant cost
+# (packet vs fluid), FFT/DVFS kernels, the consolidation kernel (Balance
+# at k=32, Greedy at k=16), and the Fig 10 (packet, fluid, k=8, k=16,
+# k=32) and Fig 15 end-to-end sweeps.
 BENCH_PATTERN = 'BenchmarkEngine|BenchmarkNetsimForward|BenchmarkNetsimBackground|BenchmarkFFT|BenchmarkDVFS|BenchmarkAblationConvolution|BenchmarkConsolidate|BenchmarkFig10|BenchmarkFig15DiurnalSavings'
 BENCH_PKGS = . ./internal/sim ./internal/netsim ./internal/fft ./internal/dvfs ./internal/consolidate
 BENCHCOUNT ?= 3
@@ -96,6 +98,7 @@ fuzz-short:
 	$(GO) test -run XXX -fuzz FuzzTwinMonotonic -fuzztime $(FUZZTIME) ./internal/twin
 	$(GO) test -run XXX -fuzz FuzzRouteIntern -fuzztime $(FUZZTIME) ./internal/fattree
 	$(GO) test -run XXX -fuzz FuzzConsolidateKernel -fuzztime $(FUZZTIME) ./internal/consolidate
+	$(GO) test -run XXX -fuzz FuzzRunningQuantile -fuzztime $(FUZZTIME) ./internal/metrics
 
 twincheck:
 	$(GO) run ./cmd/joint -twincheck -quick

@@ -101,9 +101,9 @@ type replicaState struct {
 	// suspect marks hosts believed down (their attempts dropped or timed
 	// out); selection and failover skip them until ReadmitReplicas.
 	suspect []bool
-	// rtt tracks resolved sub-query round-trip times; its p95 is the
+	// rtt tracks the p95 of resolved sub-query round-trip times, the
 	// hedge-trigger delay once warmed up.
-	rtt metrics.Tracker
+	rtt metrics.RunningQuantile
 	// cand is the reused candidate scratch buffer of pickReplica.
 	cand []int
 }
@@ -140,6 +140,7 @@ func initReplication(c *Cluster) error {
 		pl:      pl,
 		sel:     rng.Derive(cfg.Seed, "replica-select"),
 		suspect: make([]bool, len(c.hosts)),
+		rtt:     metrics.NewRunningQuantile(0.95),
 	}
 	return nil
 }
@@ -298,7 +299,7 @@ func (c *Cluster) hedgeDelay() float64 {
 		return c.Cfg.HedgeDelayS
 	}
 	if c.repl.rtt.Count() >= hedgeWarmupSamples {
-		return c.repl.rtt.Quantile(0.95)
+		return c.repl.rtt.Value()
 	}
 	return c.Cfg.ServerBudget + c.Cfg.NetworkBudget
 }

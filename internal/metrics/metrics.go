@@ -131,6 +131,104 @@ func (t *Tracker) CopyInto(dst *Tracker) {
 	dst.sum = t.sum
 }
 
+// RunningQuantile tracks one nearest-rank quantile of a growing sample set
+// exactly — the value Tracker.Quantile(q) would return over the same
+// samples — in O(log n) per Add and O(1) per read, where Tracker re-merges
+// its whole sorted view after every batch of Adds. The samples split into
+// two heaps: lo holds the ceil(q·n) smallest (a max-heap, kept as a
+// min-heap of negated values) and hi the rest, so the quantile is lo's
+// maximum. Samples must not be NaN.
+type RunningQuantile struct {
+	q  float64
+	lo minHeap // negated samples: the ceil(q·n) smallest
+	hi minHeap
+}
+
+// NewRunningQuantile returns an empty tracker of the nearest-rank
+// q-quantile, q in (0,1].
+func NewRunningQuantile(q float64) RunningQuantile { return RunningQuantile{q: q} }
+
+// Add records one sample and restores the rank split.
+func (r *RunningQuantile) Add(v float64) {
+	if len(r.lo) > 0 && v > -r.lo[0] {
+		r.hi.push(v)
+	} else {
+		r.lo.push(-v)
+	}
+	n := len(r.lo) + len(r.hi)
+	k := int(math.Ceil(r.q * float64(n)))
+	if k < 1 {
+		k = 1
+	}
+	if k > n {
+		k = n
+	}
+	for len(r.lo) > k {
+		r.hi.push(-r.lo.pop())
+	}
+	for len(r.lo) < k {
+		r.lo.push(-r.hi.pop())
+	}
+}
+
+// Count returns the number of recorded samples.
+func (r *RunningQuantile) Count() int { return len(r.lo) + len(r.hi) }
+
+// Value returns the current q-quantile, or 0 with no samples.
+func (r *RunningQuantile) Value() float64 {
+	if len(r.lo) == 0 {
+		return 0
+	}
+	return -r.lo[0]
+}
+
+// minHeap is a binary min-heap of float64s, written out by hand so that
+// pushes do not box each sample into an interface as container/heap would.
+type minHeap []float64
+
+func (h *minHeap) push(v float64) {
+	s := append(*h, v)
+	i := len(s) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !(v < s[p]) {
+			break
+		}
+		s[i] = s[p]
+		i = p
+	}
+	s[i] = v
+	*h = s
+}
+
+func (h *minHeap) pop() float64 {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	last := s[n]
+	s = s[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if c+1 < n && s[c+1] < s[c] {
+				c++
+			}
+			if !(s[c] < last) {
+				break
+			}
+			s[i] = s[c]
+			i = c
+		}
+		s[i] = last
+	}
+	*h = s
+	return top
+}
+
 // Window is a sliding-window tail-latency monitor: it retains samples whose
 // timestamp lies within the last Span seconds and answers percentile
 // queries over that window. TimeTrader's 5-second feedback loop and the

@@ -61,6 +61,28 @@ func BenchmarkNetsimForward(b *testing.B) {
 	_ = delivered
 }
 
+// BenchmarkNetsimForwardDeepQueue measures forwarding under a deep FIFO
+// queue: one 4096-packet message sent at a single instant onto the 4-hop
+// chain, so its first link queues every packet behind the one in service,
+// as saturated links do in the k=16 Fig 10 cell. Only each direction's
+// head packet holds an event, so the scheduler's heap stays a few entries
+// deep however long the queue grows.
+func BenchmarkNetsimForwardDeepQueue(b *testing.B) {
+	eng, n := benchChain(b, DefaultConfig())
+	size := 4096 * n.Cfg.PacketBytes
+	n.SendMessage(1, size, nil, nil) // warm the pools and the event arena
+	eng.RunAll()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n.SendMessage(1, size, nil, nil)
+		eng.RunAll()
+	}
+	if n.Dropped != 0 {
+		b.Fatalf("unexpected drops: %d", n.Dropped)
+	}
+}
+
 // benchBackground drives one 300 Mbps background elephant over the 4-hop
 // chain and advances simulated time 10 ms per iteration, reporting the
 // event cost per op. The fluid sub-benchmark folds the elephant into an

@@ -9,7 +9,7 @@
 // utilization-latency knee of the paper's Fig 1: latency is flat at low
 // utilization and explodes as a link approaches saturation.
 //
-// Two performance structures keep the hot path cheap:
+// Three performance structures keep the hot path cheap:
 //
 //   - A flyweight route plane: routes live in a topology.SegmentArena as
 //     interned up/down segments of preresolved per-hop directed-link
@@ -27,6 +27,11 @@
 //     uncongested constant-bit-rate background flows fold into per-link
 //     analytic rate reservations instead of being simulated packet by
 //     packet, demoting back to packet mode near the congestion knee.
+//
+//   - Per-direction FIFO departure queues: the packets in flight from one
+//     link direction wait in a list on that direction, and only the head
+//     holds an engine event (see enqueueDeparture), so a saturated link's
+//     queue costs the scheduler one heap entry, not one per packet.
 package netsim
 
 import (
@@ -110,9 +115,17 @@ func (c *Config) fill() {
 // linkState is the FIFO server for one link direction. busyUntil is the
 // departure time of the last queued bit; a packet arriving at t starts
 // transmitting at max(t, busyUntil).
+//
+// qHead..qTail is the direction's departure queue: the packets that left
+// this direction and are waiting to arrive at the next hop, linked through
+// packet.next in (time, seq) order. Only qHead's step event sits in the
+// engine heap; the rest wait here until the packet ahead of them fires
+// (see enqueueDeparture).
 type linkState struct {
 	busyUntil float64
 	bytes     int64 // forwarded bytes since the last stats reset
+	qHead     *packet
+	qTail     *packet
 
 	// Fluid-background state: fluidBps is the analytic background rate
 	// currently reserved on this direction (foreground packets transmit
@@ -147,8 +160,12 @@ type linkState struct {
 // redirect packets already in the fabric — exactly the semantics of
 // carrying the path by value. msg is nil for background packets, which
 // have no delivery accounting.
+//
+// next, at and seq are the packet's place in a departure queue: next is
+// the packet behind it and (at, seq) the event key it fires under. The
+// queue itself is not stored: a packet firing at hop h > 0 left on the
+// direction of its route's hop h-1 (see dequeueDeparture).
 type packet struct {
-	n     *Network
 	fid   flow.ID
 	rt    topology.RouteRef
 	bytes int32
@@ -156,6 +173,9 @@ type packet struct {
 	hi    bool
 	msg   *message
 	step  func()
+	next  *packet
+	at    float64
+	seq   int64
 }
 
 // Network couples a topology with an event engine and carries traffic.
@@ -518,9 +538,9 @@ func (n *Network) acquirePacket() *packet {
 	if len(n.pktChunk) == cap(n.pktChunk) {
 		n.pktChunk = make([]packet, 0, pktChunkSize)
 	}
-	n.pktChunk = append(n.pktChunk, packet{n: n})
+	n.pktChunk = append(n.pktChunk, packet{})
 	p := &n.pktChunk[len(n.pktChunk)-1]
-	p.step = func() { p.n.stepPacket(p) }
+	p.step = func() { n.stepPacket(p) }
 	return p
 }
 
@@ -635,6 +655,9 @@ func (n *Network) stepPacket(pk *packet) {
 		n.stepPQ(pk)
 		return
 	}
+	if pk.hop > 0 {
+		n.dequeueDeparture(pk)
+	}
 	hop := int(pk.hop)
 	if hop == 0 {
 		// Offered-byte accounting: every packet presented at its first
@@ -686,7 +709,55 @@ func (n *Network) stepPacket(pk *packet) {
 	ls.busyUntil = depart
 	ls.bytes += int64(pk.bytes)
 	pk.hop = int32(hop + 1)
-	n.eng.Schedule(depart+n.Cfg.HopDelay, pk.step)
+	n.enqueueDeparture(ls, pk, depart+n.Cfg.HopDelay)
+}
+
+// enqueueDeparture schedules pk's arrival at its next hop at time at,
+// behind the other packets already in flight from direction ls. It draws
+// the event's seq exactly where a plain Schedule would, so the sequence
+// stream — and with it every figure — is unchanged. Departures from one
+// direction happen in nondecreasing time order (busyUntil only grows and
+// every transmission takes positive time), so each direction's queue is
+// sorted by (time, seq) and only its head needs a heap entry: merging the
+// heads with the rest of the heap yields exactly the single-heap pop
+// order, at a heap size bounded by the busy directions rather than by the
+// packets queued on them.
+func (n *Network) enqueueDeparture(ls *linkState, pk *packet, at float64) {
+	pk.at, pk.seq = at, n.eng.ReserveSeq()
+	switch {
+	case ls.qTail == nil:
+		ls.qHead, ls.qTail = pk, pk
+		n.eng.ScheduleSeq(at, pk.seq, pk.step)
+	case at >= ls.qTail.at:
+		ls.qTail.next = pk
+		ls.qTail = pk
+	default:
+		// An out-of-order departure cannot happen with positive
+		// transmission times; should one appear, it bypasses the queue
+		// and keeps the plain heap order.
+		n.eng.ScheduleSeq(at, pk.seq, pk.step)
+	}
+}
+
+// dequeueDeparture unlinks pk, whose step event is firing, from the head
+// of the departure queue of the direction it just crossed (its route's
+// previous hop) and moves the next packet's event into the heap under that
+// packet's original (time, seq). A packet that bypassed the queue is not
+// its head: no packet is left linked once it has fired, so a pooled
+// packet's earlier flights cannot make it one either.
+func (n *Network) dequeueDeparture(pk *packet) {
+	sid, li := pk.rt.SegAt(int(pk.hop) - 1)
+	ls := &n.links[n.arena.Seg(sid).Hops[li].Dir]
+	if ls.qHead != pk {
+		return
+	}
+	ls.qHead = pk.next
+	pk.next = nil
+	if h := ls.qHead; h != nil {
+		n.eng.ScheduleSeq(h.at, h.seq, h.step)
+	} else {
+		ls.qTail = nil
+	}
 }
 
 // Background is a handle on a running background packet source.

@@ -1,10 +1,12 @@
 package netsim
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"eprons/internal/fattree"
+	"eprons/internal/flow"
 	"eprons/internal/rng"
 	"eprons/internal/sim"
 	"eprons/internal/topology"
@@ -171,5 +173,138 @@ func TestFiniteBufferTailDrop(t *testing.T) {
 	engInf.Run(0.3)
 	if inf.TailDrops != 0 {
 		t.Fatalf("infinite buffer dropped %d packets", inf.TailDrops)
+	}
+}
+
+// TestLinkFIFODeepQueue sends 10k packets onto one link direction at t=0
+// (flow 1, h0→sw at 1 Gb/s) and one packet on a parallel direction at the
+// same instant (flow 2, h2→sw at 0.5 Gb/s), either before or after the
+// deep queue. Every delivery must land at the analytic FIFO departure
+// time, computed with the forwarder's own float operations. The flow 2
+// packet takes twice as long to transmit, so it arrives at the same
+// instant as the second deep packet, whose event waited in the departure
+// queue while the first was in flight: the tie must resolve in send
+// order, so a queued packet has to fire under the seq it drew when it was
+// sent, not one drawn when it reached the head of the queue. Only the
+// queue heads may hold engine events.
+func TestLinkFIFODeepQueue(t *testing.T) {
+	const deep = 10000
+	for _, tieFirst := range []bool{true, false} {
+		g := topology.NewGraph()
+		h0 := g.AddNode("h0", topology.Host, 0)
+		h2 := g.AddNode("h2", topology.Host, 0)
+		sw := g.AddNode("sw", topology.EdgeSwitch, 36)
+		if _, err := g.AddLink(h0, sw, 1e9, 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := g.AddLink(h2, sw, 0.5e9, 0); err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig()
+		eng := sim.New()
+		n := New(eng, g, cfg)
+		if err := n.SetRoute(1, topology.Path{h0, sw}); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.SetRoute(2, topology.Path{h2, sw}); err != nil {
+			t.Fatal(err)
+		}
+		type delivery struct {
+			t     float64
+			label int // 0..deep-1 the deep packets, -1 the flow 2 packet
+		}
+		var got []delivery
+		send := func(fid flow.ID, label int) {
+			n.SendMessage(fid, cfg.PacketBytes, func(float64) {
+				got = append(got, delivery{eng.Now(), label})
+			}, nil)
+		}
+		if tieFirst {
+			send(2, -1)
+		}
+		for i := 0; i < deep; i++ {
+			send(1, i)
+		}
+		if !tieFirst {
+			send(2, -1)
+		}
+		if eng.Len() != 2 {
+			t.Fatalf("tieFirst=%v: %d engine events after the sends, want one per busy direction (2)", tieFirst, eng.Len())
+		}
+		eng.RunAll()
+
+		tx := float64(cfg.PacketBytes) * 8 / 1e9
+		var want []delivery
+		busy := 0.0
+		for i := 0; i < deep; i++ {
+			busy += tx
+			want = append(want, delivery{busy + cfg.HopDelay, i})
+		}
+		tie := delivery{float64(cfg.PacketBytes)*8/0.5e9 + cfg.HopDelay, -1}
+		if tie.t != want[1].t {
+			t.Fatalf("flow 2 delivers at %v, deep packet 1 at %v: no tie to test", tie.t, want[1].t)
+		}
+		if tieFirst {
+			want = append([]delivery{want[0], tie}, want[1:]...)
+		} else {
+			want = append([]delivery{want[0], want[1], tie}, want[2:]...)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("tieFirst=%v: %d deliveries, want %d", tieFirst, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("tieFirst=%v: delivery %d = %+v, want %+v", tieFirst, i, got[i], want[i])
+			}
+		}
+		if eng.Len() != 0 || n.Dropped != 0 {
+			t.Fatalf("tieFirst=%v: %d events live, %d drops after drain", tieFirst, eng.Len(), n.Dropped)
+		}
+		if err := eng.AuditInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestDepartureQueueBypass drives the departure queue's defensive branch
+// directly: a departure earlier than the queue's tail (which positive
+// transmission times rule out) must bypass the queue into the heap, fire
+// at its own time, and leave the queued packets' order intact.
+func TestDepartureQueueBypass(t *testing.T) {
+	g, h0, _ := line(t)
+	eng := sim.New()
+	n := New(eng, g, DefaultConfig())
+	if err := n.SetRoute(1, topology.Path{h0, g.Node(1).ID}); err != nil {
+		t.Fatal(err)
+	}
+	rt, _ := n.lookupRoute(1)
+	sid, li := rt.SegAt(0)
+	ls := &n.links[n.arena.Seg(sid).Hops[li].Dir]
+	var got []float64
+	var pks []*packet
+	for _, at := range []float64{5, 3, 6, 6} {
+		pk := n.acquirePacket()
+		pks = append(pks, pk)
+		pk.fid, pk.rt, pk.bytes, pk.hop = 1, rt, 1500, 1 // just crossed hop 0
+		step := pk.step
+		pk.step = func() {
+			got = append(got, eng.Now())
+			step()
+		}
+		n.enqueueDeparture(ls, pk, at)
+	}
+	if eng.Len() != 2 {
+		t.Fatalf("%d engine events, want the queue head and the bypassing packet", eng.Len())
+	}
+	eng.Run(4)
+	if len(got) != 1 || ls.qHead != pks[0] || ls.qTail != pks[3] {
+		t.Fatalf("after the bypassing packet fired at %v: queue head %p tail %p, want %p and %p", got, ls.qHead, ls.qTail, pks[0], pks[3])
+	}
+	eng.RunAll()
+	if want := []float64{3, 5, 6, 6}; !slices.Equal(got, want) {
+		t.Fatalf("fired at %v, want %v", got, want)
+	}
+	if eng.Len() != 0 || ls.qHead != nil || ls.qTail != nil {
+		t.Fatalf("after drain: %d events live, queue head %p tail %p", eng.Len(), ls.qHead, ls.qTail)
 	}
 }

@@ -31,6 +31,11 @@
 //   - Cancellation is lazy: the heap entry stays put and is discarded when
 //     popped. Only cancel-heavy workloads pay for it, and they pay O(1) per
 //     cancel instead of a map write per schedule.
+//   - ReserveSeq and ScheduleSeq split Schedule in two, so a caller can
+//     hold an event outside the heap and file it later under the seq it
+//     drew on time. netsim keeps each link direction's queued packets in
+//     a FIFO list this way, with only the head in the heap; the pop order
+//     is the one a plain Schedule per packet would give.
 package sim
 
 import (
@@ -112,7 +117,8 @@ func New() *Engine { return &Engine{} }
 func (e *Engine) Now() float64 { return e.now }
 
 // Len returns the exact number of live scheduled events. Lazily-cancelled
-// entries still sitting in the heap do not count.
+// entries still sitting in the heap do not count, and neither do events a
+// caller holds outside the heap under a reserved seq (see ReserveSeq).
 func (e *Engine) Len() int { return e.live }
 
 // less orders heap entries by (time, seq): earlier time first, scheduling
@@ -133,10 +139,38 @@ func less(a, b heapEntry) bool {
 // comparison — no map writes and, once the arena matches the peak queue
 // depth, no allocations.
 func (e *Engine) Schedule(at float64, fn func()) EventID {
+	e.seq++
+	return e.scheduleSeq(at, e.seq, fn)
+}
+
+// ReserveSeq draws the next sequence number without scheduling anything.
+// A caller that holds an event outside the heap (netsim's per-direction
+// FIFO departure queues) reserves the seq at the instant it would have
+// called Schedule and later hands it to ScheduleSeq, so the event fires
+// exactly where a plain Schedule would have put it in (time, seq) order.
+func (e *Engine) ReserveSeq() int64 {
+	e.seq++
+	return e.seq
+}
+
+// ScheduleSeq registers fn to run at time at under a sequence number
+// previously drawn with ReserveSeq. Each reserved seq must be scheduled at
+// most once. The caller keeps the pop-order contract: while the event is
+// held outside the heap, some event ordered no later than it must be in
+// the heap. Scheduling in the past, or under a seq the engine never
+// issued, panics.
+func (e *Engine) ScheduleSeq(at float64, seq int64, fn func()) EventID {
+	if seq < 1 || seq > e.seq {
+		panic(fmt.Sprintf("sim: schedule under seq %d, never reserved (last issued %d)", seq, e.seq))
+	}
+	return e.scheduleSeq(at, seq, fn)
+}
+
+// scheduleSeq is the shared body of Schedule and ScheduleSeq.
+func (e *Engine) scheduleSeq(at float64, seq int64, fn func()) EventID {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %g before now %g", at, e.now))
 	}
-	e.seq++
 	var slot int32
 	if n := len(e.free); n > 0 {
 		slot = e.free[n-1]
@@ -153,7 +187,7 @@ func (e *Engine) Schedule(at float64, fn func()) EventID {
 	ev.fn = fn
 	ev.state = stateLive
 	e.live++
-	e.siftUp(heapEntry{time: at, seq: e.seq, slot: slot})
+	e.siftUp(heapEntry{time: at, seq: seq, slot: slot})
 	return EventID(int64(ev.gen)<<32 | int64(slot))
 }
 

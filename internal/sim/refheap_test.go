@@ -3,8 +3,8 @@ package sim
 // A retained reference implementation of the pre-overhaul scheduler —
 // container/heap over boxed *refEvent entries plus a pending map — used
 // only by tests to pin the pop-order contract of the 4-ary arena heap:
-// for any interleaving of Schedule/Cancel/Run, both schedulers must fire
-// the exact same (time, seq) sequence.
+// for any interleaving of Schedule/ReserveSeq/ScheduleSeq/Cancel/Run, both
+// schedulers must fire the exact same (time, seq) sequence.
 
 import "container/heap"
 
@@ -55,10 +55,21 @@ func (e *refEngine) Now() float64 { return e.now }
 
 func (e *refEngine) Schedule(at float64, fn func()) int64 {
 	e.seq++
-	ev := &refEvent{time: at, seq: e.seq, fn: fn}
-	heap.Push(&e.heap, ev)
-	e.pending[e.seq] = ev
+	return e.ScheduleSeq(at, e.seq, fn)
+}
+
+func (e *refEngine) ReserveSeq() int64 {
+	e.seq++
 	return e.seq
+}
+
+// ScheduleSeq files fn under a seq drawn earlier with ReserveSeq; the
+// returned handle is the seq itself, as for Schedule.
+func (e *refEngine) ScheduleSeq(at float64, seq int64, fn func()) int64 {
+	ev := &refEvent{time: at, seq: seq, fn: fn}
+	heap.Push(&e.heap, ev)
+	e.pending[seq] = ev
+	return seq
 }
 
 func (e *refEngine) Cancel(id int64) bool {
