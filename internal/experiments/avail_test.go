@@ -46,7 +46,8 @@ func TestAvailabilitySweepNoOrphans(t *testing.T) {
 // Worker-count invariance: every fault-rate cell is an independent
 // simulation with derived seeds, so sequential and parallel sweeps must be
 // bit-identical — including the faulted cells (the fault schedule rides on
-// the per-cell seed, not on execution order).
+// the per-cell seed, not on execution order). The rows are pinned to a
+// golden file.
 func TestAvailabilitySweepWorkerInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("packet-level sweep")
@@ -58,7 +59,7 @@ func TestAvailabilitySweepWorkerInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Workers = 3
+	cfg.Workers = 4
 	par, err := AvailabilitySweep(rates, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -66,4 +67,5 @@ func TestAvailabilitySweepWorkerInvariance(t *testing.T) {
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatalf("sweep depends on worker count:\nseq: %+v\npar: %+v", seq, par)
 	}
+	robustnessGolden(t, "availability.txt", seq)
 }

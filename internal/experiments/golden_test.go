@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -42,4 +43,42 @@ func TestFig10ECMPGolden(t *testing.T) {
 		b.WriteString(fig10Cells(t, NetLatencyConfig{DurationS: 0.4, K: k, Fluid: true, ECMPQueries: true}))
 	}
 	golden.Check(t, filepath.Join("testdata", "golden", "fig10_ecmp.txt"), b.String())
+}
+
+// rowsDump renders every field of each row, one row per line: floats at
+// %.17g (which round-trips float64 exactly), integers at %d, nested
+// structs as dotted names. Equality of two dumps is bit-identity of the
+// sweep output.
+func rowsDump[T any](t *testing.T, rows []T) string {
+	t.Helper()
+	var fields []string
+	var dump func(prefix string, v reflect.Value)
+	dump = func(prefix string, v reflect.Value) {
+		for i := 0; i < v.NumField(); i++ {
+			f, name := v.Field(i), prefix+v.Type().Field(i).Name
+			switch f.Kind() {
+			case reflect.Struct:
+				dump(name+".", f)
+			case reflect.Float64:
+				fields = append(fields, fmt.Sprintf("%s=%.17g", name, f.Float()))
+			case reflect.Int, reflect.Int64:
+				fields = append(fields, fmt.Sprintf("%s=%d", name, f.Int()))
+			default:
+				t.Fatalf("rowsDump: field %s has unsupported kind %v", name, f.Kind())
+			}
+		}
+	}
+	var b strings.Builder
+	for _, r := range rows {
+		fields = fields[:0]
+		dump("", reflect.ValueOf(r))
+		b.WriteString(strings.Join(fields, " ") + "\n")
+	}
+	return b.String()
+}
+
+// robustnessGolden pins a robustness sweep's rows to a committed file.
+func robustnessGolden[T any](t *testing.T, name string, rows []T) {
+	t.Helper()
+	golden.Check(t, filepath.Join("testdata", "golden", name), rowsDump(t, rows))
 }
