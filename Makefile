@@ -33,8 +33,9 @@
 #                     deterministic). Part of `make check`.
 #   make race       — just the race-detector subset, plus a race-enabled
 #                     Fig 10 smoke sweep with two concurrent cell workers
-#                     and a race-enabled replicated-tier smoke sweep (R=3,
-#                     hedged selection) of the parallel replica harness.
+#                     (netsweep) and a race-enabled replicated-tier smoke
+#                     sweep (joint -replicas 3, hedged selection) of the
+#                     parallel robustness cell runner.
 #   make fuzz-short — a bounded run of the native fuzz targets (surge
 #                     multiplier safety, admission hysteresis invariants,
 #                     replica failover conservation under random crash/repair
@@ -86,7 +87,7 @@ test:
 race:
 	$(GO) test -race ./internal/parallel ./internal/core ./internal/sim ./internal/netsim ./internal/cluster ./internal/faults ./internal/controller ./internal/workload ./internal/experiments ./internal/metrics ./internal/topology ./internal/placement
 	$(GO) run -race ./cmd/netsweep -fig 10 -duration 0.2 -workers 2
-	$(GO) run -race ./cmd/epronsim -replicas 3 -selection hedged -faultrates 1 -faultdur 0.5
+	$(GO) run -race ./cmd/joint -replicas 3 -selection hedged -faultrates 1 -faultdur 0.5
 
 # Each `go test -fuzz` invocation accepts exactly one target, so the
 # corpus-growing runs go one per line.

@@ -10,9 +10,9 @@
 //	joint [-quick] [-bg 0.01,0.20,0.50]
 //	joint -twin [-twink 74] [-bg 0.01,0.20,0.50]
 //	joint -twincheck [-quick]
-//	joint -faults [-faultrates 0,0.5,1,2] [-faultdur 5] [-faultseed 1] [-audit] [-fluid]
-//	joint -overload [-overloadmults 0.5,1,2,3] [-overloaddur 2] [-surge step] [-audit] [-fluid]
-//	joint -replicas 1,3 [-selection primary,p2c,hedged] [-hedge 0] [-faultrates 0,1,2] [-audit]
+//	joint -faults [-faultrates 0,0.5,1,2] [-faultdur 5] [-faultseed 1]
+//	joint -overload [-overloadmults 0.5,1,2,3] [-overloaddur 2] [-surge step] [-overloadwm 0]
+//	joint -replicas 1,3 [-selection primary,p2c,hedged] [-hedge 0] [-faultrates 0,1,2]
 //
 // The -faults mode skips the Fig 13 evaluation and instead runs the
 // fault-injection availability sweep: seeded switch crashes and link
@@ -21,14 +21,15 @@
 //
 // The -overload mode runs the flash-crowd overload sweep: admission
 // control + load shedding + controller surge response versus the
-// unprotected baseline across offered-load multipliers.
+// unprotected baseline across offered-load multipliers; -overloadwm
+// overrides the admission high watermark.
 //
 // The -replicas mode runs the replicated search-tier sweep: consistent-
 // hash placement with pod spreading, replica failover, and the selection
 // policies of -selection (primary, p2c, hedged) compared across
 // replication factors and fault rates; -hedge overrides the hedged
-// duplicate delay (0 tracks the observed sub-query p95). -audit enables
-// runtime invariant checks in all three modes.
+// duplicate delay (0 tracks the observed sub-query p95). All three modes
+// run the runtime invariant audit on every drained cell.
 //
 // The -twin mode answers closed-form what-if capacity queries on an
 // arbitrary fat-tree arity (default k=74, a 101,306-host fabric) with no
@@ -102,13 +103,12 @@ func main() {
 	overloadDur := flag.Float64("overloaddur", 2, "seconds of query traffic per multiplier cell")
 	overloadRate := flag.Float64("overloadrate", 200, "base (1x) query rate in queries/s")
 	overloadSeed := flag.Int64("overloadseed", 1, "seed for the overload workload streams")
+	overloadWM := flag.Int("overloadwm", 0, "admission high watermark override (0 derives the SLA-aware default)")
 	surgeShape := flag.String("surge", "step", "flash-crowd profile: step, spike or ramp")
 	surgeResponse := flag.Bool("surgeresponse", true, "let the controller re-expand the fabric on sustained saturation")
 	replicasArg := flag.String("replicas", "", "run the replicated search-tier sweep over these replication factors (e.g. 1,3) and exit; uses -faultrates/-faultdur/-faultseed for the fault axis")
 	selectionArg := flag.String("selection", "primary", "replica selection policies to sweep: primary, p2c and/or hedged (comma separated)")
 	hedgeDelay := flag.Float64("hedge", 0, "hedged-policy duplicate delay in seconds (0 = track the observed sub-query p95)")
-	audit := flag.Bool("audit", false, "run runtime invariant checks (query conservation, offered>=carried bytes, hedge accounting, replica reachability, scheduler bookkeeping) after each cell")
-	fluid := flag.Bool("fluid", false, "hybrid fluid/packet background-traffic engine in -faults/-overload modes (order-of-magnitude fewer events; off = exact packet-level simulation)")
 	workers := flag.Int("workers", parallel.DefaultWorkers(), "training/evaluation concurrency (cells are independently seeded simulations; <=1 runs sequentially, results are identical either way)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -195,7 +195,6 @@ func main() {
 			HedgeDelayS: *hedgeDelay,
 			Seed:        *faultSeed,
 			Workers:     *workers,
-			Audit:       *audit,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -213,8 +212,6 @@ func main() {
 			DurationS: *faultDur,
 			Seed:      *faultSeed,
 			Workers:   *workers,
-			Audit:     *audit,
-			Fluid:     *fluid,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -237,8 +234,7 @@ func main() {
 			BaseRate:      *overloadRate,
 			Profile:       profile,
 			SurgeResponse: *surgeResponse,
-			Audit:         *audit,
-			Fluid:         *fluid,
+			HighWM:        *overloadWM,
 			Seed:          *overloadSeed,
 			Workers:       *workers,
 		})

@@ -124,28 +124,8 @@ func (c *DiurnalConfig) fill() error {
 // fraction of link capacity.
 func (c *DiurnalConfig) backgroundFlows(frac float64) []flow.Flow {
 	ft := c.Planner.FT
-	k := ft.Cfg.K
-	hostsPerPod := len(ft.Hosts) / k
-	var out []flow.Flow
-	id := flow.ID(100000)
-	// One elephant per source host within each pod so access links are
-	// never the binding constraint.
-	for sp := 0; sp < k && len(out) < c.BgFlows; sp++ {
-		for dp := 0; dp < k && len(out) < c.BgFlows; dp++ {
-			if sp == dp {
-				continue
-			}
-			out = append(out, flow.Flow{
-				ID:        id,
-				Src:       ft.Hosts[sp*hostsPerPod+dp%hostsPerPod],
-				Dst:       ft.Hosts[dp*hostsPerPod+sp%hostsPerPod],
-				DemandBps: frac * ft.Cfg.LinkCapacityBps,
-				Class:     flow.Background,
-			})
-			id++
-		}
-	}
-	return out
+	out := ft.PodPairElephants(100000, frac*ft.Cfg.LinkCapacityBps)
+	return out[:min(len(out), c.BgFlows)]
 }
 
 // queryFlows builds the aggregated latency-sensitive pair demand for the

@@ -141,24 +141,8 @@ func NewSystem(cfg SystemConfig, table *ServerPowerTable) (*System, error) {
 	}
 
 	// Background elephants between pod-leader hosts.
-	k := ft.Cfg.K
-	hostsPerPod := len(ft.Hosts) / k
-	id := flow.ID(100000)
-	for sp := 0; sp < k && len(s.bgFlows) < cfg.NumBgFlows; sp++ {
-		for dp := 0; dp < k && len(s.bgFlows) < cfg.NumBgFlows; dp++ {
-			if sp == dp {
-				continue
-			}
-			s.bgFlows = append(s.bgFlows, flow.Flow{
-				ID:        id,
-				Src:       ft.Hosts[sp*hostsPerPod+dp%hostsPerPod],
-				Dst:       ft.Hosts[dp*hostsPerPod+sp%hostsPerPod],
-				DemandBps: cfg.BgFraction(0) * ft.Cfg.LinkCapacityBps,
-				Class:     flow.Background,
-			})
-			id++
-		}
-	}
+	s.bgFlows = ft.PodPairElephants(100000, cfg.BgFraction(0)*ft.Cfg.LinkCapacityBps)
+	s.bgFlows = s.bgFlows[:min(len(s.bgFlows), cfg.NumBgFlows)]
 
 	// The controller manages query pair flows plus backgrounds; nominal
 	// demands seed the predictor until measurements arrive, after which

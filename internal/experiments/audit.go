@@ -10,34 +10,31 @@ import (
 	"eprons/internal/topology"
 )
 
-// Runtime invariant audit ("-audit" on the CLI harnesses, Audit on the
-// sweep configs): cheap cross-checks of the simulator's global accounting,
-// run at drain points rather than per event so the audit mode costs almost
-// nothing. The experiment tests run the overload and availability sweeps
-// under audit, so a bookkeeping regression fails loudly instead of quietly
-// skewing a figure.
+// Runtime invariant audit: cheap cross-checks of the simulator's global
+// accounting. runCell runs them on every drained robustness cell (the
+// availability, overload and replica sweeps), so a bookkeeping regression
+// fails the sweep loudly instead of quietly skewing a figure. They run at
+// drain points rather than per event, so they cost almost nothing.
 //
 // The checks:
 //
 //   - query conservation including shed work: submitted = completed +
-//     lost + shed + orphans, all non-negative, and orphans == 0 once the
-//     engine has drained;
+//     lost + shed, all non-negative, with no orphaned query left;
 //   - the network can refuse offered traffic but never carry traffic
 //     nobody offered: OfferedBytes >= CarriedBytes (both cumulative,
 //     unaffected by ResetStats);
 //   - the event engine's cached live count equals a from-scratch recount
-//     of its arena, and heap/arena occupancy agree (sim.AuditInvariants);
+//     of its arena, heap/arena occupancy agree (sim.AuditInvariants), and
+//     no event is left;
 //   - hedge accounting (replicated runs): every launched hedge terminates
-//     as exactly one win or one wasted duplicate, hedges = wins + wasted
-//     after drain;
-//   - last-replica reachability (replicated runs with a consolidation):
-//     the applied active set leaves every partition with a reachable
-//     replica (consolidate.StrandedPartitions returns none).
+//     as exactly one win or one wasted duplicate, hedges = wins + wasted;
+//   - last-replica reachability (replicated runs): the applied active set
+//     leaves every partition with a reachable replica
+//     (consolidate.StrandedPartitions returns none).
 
-// auditRun asserts the invariant set for one drained simulation cell.
-// drained should be true after eng.RunAll() — it arms the orphans == 0
-// assertion.
-func auditRun(eng *sim.Engine, net *netsim.Network, st *cluster.Stats, drained bool) error {
+// auditRun asserts the invariant set for one simulation cell after
+// eng.RunAll() has drained it.
+func auditRun(eng *sim.Engine, net *netsim.Network, st *cluster.Stats) error {
 	// Query conservation (incl. shed).
 	if st.QueriesSubmitted < 0 || st.Queries < 0 || st.QueriesLost < 0 || st.QueriesShed < 0 {
 		return fmt.Errorf("audit: negative query counter: %+v", st)
@@ -46,11 +43,9 @@ func auditRun(eng *sim.Engine, net *netsim.Network, st *cluster.Stats, drained b
 		return fmt.Errorf("audit: conservation violated: completed %d + lost %d + shed %d > submitted %d",
 			st.Queries, st.QueriesLost, st.QueriesShed, st.QueriesSubmitted)
 	}
-	if drained {
-		if o := st.Orphans(); o != 0 {
-			return fmt.Errorf("audit: %d orphaned queries after drain (submitted %d, completed %d, lost %d, shed %d)",
-				o, st.QueriesSubmitted, st.Queries, st.QueriesLost, st.QueriesShed)
-		}
+	if o := st.Orphans(); o != 0 {
+		return fmt.Errorf("audit: %d orphaned queries after drain (submitted %d, completed %d, lost %d, shed %d)",
+			o, st.QueriesSubmitted, st.Queries, st.QueriesLost, st.QueriesShed)
 	}
 	// Offered vs carried link bytes.
 	if net.OfferedBytes < net.CarriedBytes {
@@ -69,7 +64,7 @@ func auditRun(eng *sim.Engine, net *netsim.Network, st *cluster.Stats, drained b
 		return fmt.Errorf("audit: hedge terminations %d+%d exceed launches %d",
 			st.HedgeWins, st.HedgeWasted, st.Hedges)
 	}
-	if drained && st.Hedges != st.HedgeWins+st.HedgeWasted {
+	if st.Hedges != st.HedgeWins+st.HedgeWasted {
 		return fmt.Errorf("audit: hedge identity violated after drain: %d launched != %d wins + %d wasted",
 			st.Hedges, st.HedgeWins, st.HedgeWasted)
 	}
@@ -77,7 +72,7 @@ func auditRun(eng *sim.Engine, net *netsim.Network, st *cluster.Stats, drained b
 	if err := eng.AuditInvariants(); err != nil {
 		return fmt.Errorf("audit: %w", err)
 	}
-	if drained && eng.Len() != 0 {
+	if eng.Len() != 0 {
 		return fmt.Errorf("audit: %d live events after drain", eng.Len())
 	}
 	return nil

@@ -3,18 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"eprons/internal/cluster"
-	"eprons/internal/consolidate"
-	"eprons/internal/controller"
-	"eprons/internal/dvfs"
-	"eprons/internal/fattree"
 	"eprons/internal/faults"
-	"eprons/internal/flow"
-	"eprons/internal/netsim"
 	"eprons/internal/parallel"
-	"eprons/internal/rng"
-	"eprons/internal/server"
-	"eprons/internal/sim"
 	"eprons/internal/workload"
 )
 
@@ -26,9 +16,6 @@ type AvailabilityConfig struct {
 	DurationS float64
 	// QueryRate in queries/s (default 40).
 	QueryRate float64
-	// BgUtil is the per-pod-pair background elephant utilization
-	// (default 0.10; 0 disables background traffic).
-	BgUtil float64
 	// ScaleK is the consolidation scale factor (default 1 — the minimal
 	// subnet, the regime where faults bite hardest).
 	ScaleK float64
@@ -50,17 +37,7 @@ type AvailabilityConfig struct {
 	// Admission enables the overload control plane (bounded queues,
 	// watermark shedding) during the fault sweep.
 	Admission bool
-	// Audit runs the runtime invariant checks (query conservation,
-	// offered >= carried bytes, engine bookkeeping) after each drained
-	// cell.
-	Audit bool
-	// Fluid enables netsim's hybrid fluid/packet background engine for
-	// the sweep's background elephants (Config.FluidBackground). Fault
-	// masks arrive through SetActive, which demotes affected sources to
-	// packet mode synchronously, so drop semantics under faults are
-	// unchanged.
-	Fluid bool
-	Seed  int64
+	Seed      int64
 	// Workers bounds sweep concurrency; each fault-rate cell is an
 	// independent simulation with per-cell derived seeds, so results are
 	// identical for every worker count.
@@ -73,9 +50,6 @@ func (c *AvailabilityConfig) fill() {
 	}
 	if c.QueryRate <= 0 {
 		c.QueryRate = 40
-	}
-	if c.BgUtil < 0 {
-		c.BgUtil = 0
 	}
 	if c.ScaleK <= 0 {
 		c.ScaleK = 1
@@ -105,7 +79,7 @@ type AvailabilityRow struct {
 	Retries    int
 	Timeouts   int
 	DroppedSub int   // dropped sub-query messages (either direction)
-	MsgDropped int64 // network-wide message-level drops (incl. background)
+	MsgDropped int64 // network-wide message-level drops
 	// Goodput is Completed/Submitted; StrictMissRate counts lost queries
 	// as SLA misses over all terminated queries.
 	Goodput        float64
@@ -130,15 +104,64 @@ type AvailabilityRow struct {
 // consolidated subnet is partitioned), and the cluster's timeout/retry
 // machinery re-sends sub-queries lost in transients. After the traffic
 // window the engine drains completely, so every submitted query terminates
-// as completed or lost — Orphans is asserted zero by the harness tests.
+// as completed or lost; the runtime audit asserts Orphans is zero.
 func AvailabilitySweep(failRates []float64, cfg AvailabilityConfig) ([]AvailabilityRow, error) {
 	cfg.fill()
+	// Optional flash crowd on top of the faults: a surge spanning the
+	// middle half of the run. An empty train multiplies by exactly 1, so
+	// the fault-only sweep is untouched.
+	var crowd workload.SurgeTrain
+	if cfg.SurgeMagnitude > 1 {
+		crowd.Surges = append(crowd.Surges, workload.Surge{
+			Profile:   cfg.SurgeProfile,
+			StartS:    cfg.DurationS * 0.25,
+			DurationS: cfg.DurationS * 0.5,
+			Magnitude: cfg.SurgeMagnitude,
+		})
+	}
 	return parallel.Map(len(failRates), cfg.Workers, func(i int) (AvailabilityRow, error) {
-		row, err := availabilityCell(failRates[i], cfg, cfg.Seed+int64(i))
+		failRate := failRates[i]
+		c, err := runCell(cellSpec{
+			seed:        cfg.Seed + int64(i),
+			durationS:   cfg.DurationS,
+			scaleK:      cfg.ScaleK,
+			timeoutS:    resolveSubQueryTimeout(cfg.SubQueryTimeout),
+			retryBudget: resolveRetryBudget(cfg.RetryBudget),
+			admission:   cfg.Admission,
+			reserveRate: cfg.QueryRate,
+			queryRate:   cfg.QueryRate,
+			crowd:       crowd,
+			faults: &faults.ScheduleConfig{
+				Duration:          cfg.DurationS,
+				SwitchFailsPerSec: failRate / 2,
+				LinkFlapsPerSec:   failRate / 2,
+				RepairMeanS:       cfg.RepairMeanS,
+			},
+		})
 		if err != nil {
-			return AvailabilityRow{}, fmt.Errorf("fail rate %.3g: %w", failRates[i], err)
+			return AvailabilityRow{}, fmt.Errorf("fail rate %.3g: %w", failRate, err)
 		}
-		return row, nil
+		st := c.st
+		return AvailabilityRow{
+			FailRate:       failRate,
+			Submitted:      st.QueriesSubmitted,
+			Completed:      st.Queries,
+			Lost:           st.QueriesLost,
+			Shed:           st.QueriesShed,
+			Orphans:        st.Orphans(),
+			Retries:        st.Retries,
+			Timeouts:       st.Timeouts,
+			DroppedSub:     st.DroppedSub,
+			MsgDropped:     c.net.MsgDropped,
+			Goodput:        st.Goodput(),
+			StrictMissRate: st.StrictMissRate(),
+			P95S:           st.QueryLatency.Quantile(0.95),
+			Repaired:       c.ctl.RepairedRoutes,
+			FailedRepairs:  c.ctl.FailedRepairs,
+			Emergencies:    c.ctl.Emergencies,
+			FaultsInjected: c.faultsInjected,
+			ActiveSwitches: c.activeSwitches,
+		}, nil
 	})
 }
 
@@ -167,152 +190,4 @@ func AvailabilityTable(rows []AvailabilityRow) *Table {
 		)
 	}
 	return t
-}
-
-// availabilityCell runs one independent fault-rate simulation.
-func availabilityCell(failRate float64, cfg AvailabilityConfig, seed int64) (AvailabilityRow, error) {
-	var row AvailabilityRow
-	ft, err := fattree.New(fattree.DefaultConfig())
-	if err != nil {
-		return row, err
-	}
-	eng := sim.New()
-	ncfg := netsim.DefaultConfig()
-	ncfg.FluidBackground = cfg.Fluid
-	net := netsim.New(eng, ft.Graph, ncfg)
-
-	d, err := workload.ServiceDist(workload.DefaultServiceConfig())
-	if err != nil {
-		return row, err
-	}
-	clCfg := cluster.DefaultConfig(d, func(host, core int) server.Policy { return dvfs.NewMaxFreq() })
-	clCfg.CoresPerServer = 2
-	clCfg.SubQueryTimeout = resolveSubQueryTimeout(cfg.SubQueryTimeout)
-	clCfg.RetryBudget = resolveRetryBudget(cfg.RetryBudget)
-	clCfg.AdmissionControl = cfg.Admission
-	cl, err := cluster.New(net, ft.Hosts, clCfg)
-	if err != nil {
-		return row, err
-	}
-
-	// Flow set: query pair flows plus optional pod-pair background
-	// elephants (same layout as the Fig 10/11 harness).
-	var bgFlows []flow.Flow
-	if cfg.BgUtil > 0 {
-		fid := flow.ID(50000)
-		k := ft.Cfg.K
-		hostsPerPod := len(ft.Hosts) / k
-		for sp := 0; sp < k; sp++ {
-			for dp := 0; dp < k; dp++ {
-				if sp == dp {
-					continue
-				}
-				bgFlows = append(bgFlows, flow.Flow{
-					ID:        fid,
-					Src:       ft.Hosts[sp*hostsPerPod+dp%hostsPerPod],
-					Dst:       ft.Hosts[dp*hostsPerPod+sp%hostsPerPod],
-					DemandBps: cfg.BgUtil * ft.Cfg.LinkCapacityBps,
-					Class:     flow.Background,
-				})
-				fid++
-			}
-		}
-	}
-	reserve := cl.QueryDemandBps(cfg.QueryRate)
-	if reserve < 1 {
-		reserve = 1
-	}
-	all := append(cl.PairFlows(reserve), bgFlows...)
-
-	placed, err := consolidate.Greedy(ft, all, consolidate.Config{ScaleK: cfg.ScaleK, SafetyMarginBps: 50e6})
-	if err != nil {
-		return row, err
-	}
-	if !placed.Feasible {
-		return row, fmt.Errorf("%w (%d unplaced)", ErrInfeasible, len(placed.Unplaced))
-	}
-	row.ActiveSwitches = placed.Active.ActiveSwitches()
-
-	// Fixed-policy controller: the consolidation is precomputed, the
-	// controller's job in this experiment is route repair. The optimize
-	// period exceeds the run so only the initial application happens.
-	ctlCfg := controller.DefaultConfig()
-	ctlCfg.OptimizePeriod = cfg.DurationS + 3600
-	ctl, err := controller.New(eng, net,
-		controller.OptimizerFunc(func([]flow.Flow) (*consolidate.Result, error) { return placed, nil }),
-		all, ctlCfg)
-	if err != nil {
-		return row, err
-	}
-
-	// The injector interposes on the active-set path BEFORE the controller
-	// installs anything, so no configuration bypasses the fault mask.
-	inj := faults.NewInjector(net)
-	inj.OnChange = func(faults.Event) { ctl.RepairRoutes() }
-	sched := faults.Generate(ft.Graph, faults.ScheduleConfig{
-		Duration:          cfg.DurationS,
-		SwitchFailsPerSec: failRate / 2,
-		LinkFlapsPerSec:   failRate / 2,
-		RepairMeanS:       cfg.RepairMeanS,
-	}, seed)
-	if err := inj.Start(sched); err != nil {
-		return row, err
-	}
-	if err := ctl.Start(); err != nil {
-		return row, err
-	}
-
-	specs := make([]netsim.BackgroundSpec, len(bgFlows))
-	for bi, f := range bgFlows {
-		specs[bi] = netsim.BackgroundSpec{ID: f.ID, Rate: func() float64 { return f.DemandBps },
-			Stream: rng.Derive(seed, fmt.Sprintf("avail-bg-%d", bi))}
-	}
-	bgs := net.StartBackgrounds(specs)
-	// Optional flash crowd on top of the faults: a surge spanning the
-	// middle half of the run. An empty train multiplies by exactly 1, so
-	// the fault-only sweep is untouched.
-	var train workload.SurgeTrain
-	if cfg.SurgeMagnitude > 1 {
-		train.Surges = append(train.Surges, workload.Surge{
-			Profile:   cfg.SurgeProfile,
-			StartS:    cfg.DurationS * 0.25,
-			DurationS: cfg.DurationS * 0.5,
-			Magnitude: cfg.SurgeMagnitude,
-		})
-	}
-	sampler := workload.NewSampler(d, seed+5)
-	stop := cl.StartPoisson(func() float64 { return cfg.QueryRate * train.At(eng.Now()) }, sampler.Draw, seed+11)
-
-	eng.Run(cfg.DurationS)
-	stop()
-	ctl.Stop()
-	net.StopBackgrounds(bgs)
-	// Drain everything: in-flight packets, retry timers, repair events.
-	// Afterwards every query has terminated, so Orphans must be zero.
-	eng.RunAll()
-
-	st := cl.Stats()
-	if cfg.Audit {
-		if err := auditRun(eng, net, st, true); err != nil {
-			return row, err
-		}
-	}
-	row.FailRate = failRate
-	row.Submitted = st.QueriesSubmitted
-	row.Completed = st.Queries
-	row.Lost = st.QueriesLost
-	row.Shed = st.QueriesShed
-	row.Orphans = st.Orphans()
-	row.Retries = st.Retries
-	row.Timeouts = st.Timeouts
-	row.DroppedSub = st.DroppedSub
-	row.MsgDropped = net.MsgDropped
-	row.Goodput = st.Goodput()
-	row.StrictMissRate = st.StrictMissRate()
-	row.P95S = st.QueryLatency.Quantile(0.95)
-	row.Repaired = ctl.RepairedRoutes
-	row.FailedRepairs = ctl.FailedRepairs
-	row.Emergencies = ctl.Emergencies
-	row.FaultsInjected = inj.Injected
-	return row, nil
 }

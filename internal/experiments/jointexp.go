@@ -160,26 +160,7 @@ func jointFlows(ft *fattree.FatTree, util, bg float64) []flow.Flow {
 			})
 		}
 	}
-	k := ft.Cfg.K
-	hostsPerPod := len(hosts) / k
-	id := flow.ID(100000)
-	// One elephant per source host within each pod (access links must not
-	// be the bottleneck).
-	for sp := 0; sp < k; sp++ {
-		for dp := 0; dp < k; dp++ {
-			if sp == dp {
-				continue
-			}
-			out = append(out, flow.Flow{
-				ID:        id,
-				Src:       hosts[sp*hostsPerPod+dp%hostsPerPod],
-				Dst:       hosts[dp*hostsPerPod+sp%hostsPerPod],
-				DemandBps: bg * ft.Cfg.LinkCapacityBps, Class: flow.Background,
-			})
-			id++
-		}
-	}
-	return out
+	return append(out, ft.PodPairElephants(100000, bg*ft.Cfg.LinkCapacityBps)...)
 }
 
 // Fig14Traces samples the diurnal search-load and background curves at n

@@ -368,29 +368,11 @@ func measureNetwork(active *topology.ActiveSet, ft *fattree.FatTree, bgUtil floa
 
 	// Background: all ordered pod pairs.
 	hosts := len(ft.Hosts)
-	var bgFlows []flow.Flow
 	fid := flow.ID(legacyBgIDBase)
 	if cfg.ECMPQueries && hosts*hosts > legacyBgIDMaxPairs {
 		fid = flow.ID(hosts * hosts)
 	}
-	k := ft.Cfg.K
-	hostsPerPod := len(ft.Hosts) / k
-	// Spread each pod's elephants across its hosts so access links are
-	// not the bottleneck (one elephant per source host).
-	for sp := 0; sp < k; sp++ {
-		for dp := 0; dp < k; dp++ {
-			if sp == dp {
-				continue
-			}
-			bgFlows = append(bgFlows, flow.Flow{
-				ID:        fid,
-				Src:       ft.Hosts[sp*hostsPerPod+dp%hostsPerPod],
-				Dst:       ft.Hosts[dp*hostsPerPod+sp%hostsPerPod],
-				DemandBps: bgUtil * ft.Cfg.LinkCapacityBps, Class: flow.Background,
-			})
-			fid++
-		}
-	}
+	bgFlows := ft.PodPairElephants(fid, bgUtil*ft.Cfg.LinkCapacityBps)
 	// Query pair flows participate in placement so consolidation sees
 	// them (Fig 11's K applies to them). The reservation is the bursty
 	// 90th-percentile demand, not the mean.

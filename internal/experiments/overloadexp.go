@@ -4,19 +4,7 @@ import (
 	"fmt"
 	"math"
 
-	"eprons/internal/cluster"
-	"eprons/internal/consolidate"
-	"eprons/internal/controller"
-	"eprons/internal/dvfs"
-	"eprons/internal/fattree"
-	"eprons/internal/flow"
-	"eprons/internal/metrics"
-	"eprons/internal/netsim"
 	"eprons/internal/parallel"
-	"eprons/internal/power"
-	"eprons/internal/rng"
-	"eprons/internal/server"
-	"eprons/internal/sim"
 	"eprons/internal/workload"
 )
 
@@ -40,9 +28,6 @@ type OverloadConfig struct {
 	// Profile shapes multipliers > 1 (default SurgeStep — the classic
 	// flash crowd).
 	Profile workload.SurgeProfile
-	// BgUtil is the per-pod-pair background elephant utilization
-	// (default 0.10; admission's defer stage pauses these first).
-	BgUtil float64
 	// ScaleK is the consolidation scale factor (default 1 — the minimal
 	// subnet the surge response re-expands).
 	ScaleK float64
@@ -60,12 +45,7 @@ type OverloadConfig struct {
 	// admission cells (no-admission cells never get one: the baseline is
 	// the fully unprotected system).
 	SurgeResponse bool
-	// Audit runs the runtime invariant checks after each drained cell.
-	Audit bool
-	// Fluid enables netsim's hybrid fluid/packet background engine for
-	// the sweep's background elephants (Config.FluidBackground).
-	Fluid bool
-	Seed  int64
+	Seed          int64
 	// Workers bounds sweep concurrency; each multiplier cell is an
 	// independent simulation with per-cell derived seeds, so results are
 	// identical for every worker count.
@@ -81,9 +61,6 @@ func (c *OverloadConfig) fill() {
 	}
 	if c.SurgeStartFrac <= 0 || c.SurgeStartFrac >= 1 {
 		c.SurgeStartFrac = 0.25
-	}
-	if c.BgUtil < 0 {
-		c.BgUtil = 0
 	}
 	if c.ScaleK <= 0 {
 		c.ScaleK = 1
@@ -161,17 +138,85 @@ func OverloadSweep(multipliers []float64, cfg OverloadConfig) ([]OverloadRow, er
 	cfg.fill()
 	return parallel.Map(len(multipliers), cfg.Workers, func(i int) (OverloadRow, error) {
 		mult := multipliers[i]
+		if mult <= 0 || math.IsNaN(mult) || math.IsInf(mult, 0) {
+			return OverloadRow{}, fmt.Errorf("non-positive offered-load multiplier %g", mult)
+		}
 		seed := cfg.Seed + int64(i)
-		ac, err := overloadCell(mult, true, cfg, seed)
+		ac, err := runCell(overloadSpec(mult, true, cfg, seed))
 		if err != nil {
 			return OverloadRow{}, fmt.Errorf("multiplier %.3g (admission): %w", mult, err)
 		}
-		noac, err := overloadCell(mult, false, cfg, seed)
+		row := OverloadRow{Multiplier: mult, AC: overloadCellOf(ac)}
+		noac, err := runCell(overloadSpec(mult, false, cfg, seed))
 		if err != nil {
 			return OverloadRow{}, fmt.Errorf("multiplier %.3g (baseline): %w", mult, err)
 		}
-		return OverloadRow{Multiplier: mult, AC: ac, NoAC: noac}, nil
+		row.NoAC = overloadCellOf(noac)
+		return row, nil
 	})
+}
+
+// overloadSpec is one (multiplier, admission) cell. The pair flows
+// reserve bandwidth for the BASE rate: multipliers ≤ 1 scale the whole
+// window, multipliers > 1 arrive as a flash crowd (cfg.Profile) that
+// starts at SurgeStartFrac·DurationS and holds to the end of the window,
+// so the backlog snapshot at DurationS lands mid-crowd. No-admission
+// cells never get a surge response: the baseline is the fully
+// unprotected system.
+func overloadSpec(mult float64, admission bool, cfg OverloadConfig, seed int64) cellSpec {
+	rate := cfg.BaseRate
+	var crowd workload.SurgeTrain
+	if mult <= 1 {
+		rate *= mult
+	} else {
+		start := cfg.SurgeStartFrac * cfg.DurationS
+		crowd.Surges = append(crowd.Surges, workload.Surge{
+			Profile:   cfg.Profile,
+			StartS:    start,
+			DurationS: cfg.DurationS - start,
+			Magnitude: mult,
+		})
+	}
+	return cellSpec{
+		seed:          seed,
+		durationS:     cfg.DurationS,
+		scaleK:        cfg.ScaleK,
+		ttPeriod:      cfg.TTPeriod,
+		retryBudget:   resolveRetryBudget(cfg.RetryBudget),
+		admission:     admission,
+		highWM:        cfg.HighWM,
+		reserveRate:   cfg.BaseRate,
+		queryRate:     rate,
+		crowd:         crowd,
+		surgeResponse: admission && cfg.SurgeResponse,
+		samplePower:   true,
+	}
+}
+
+func overloadCellOf(c *cellResult) OverloadCell {
+	st := c.st
+	return OverloadCell{
+		Submitted:             st.QueriesSubmitted,
+		Completed:             st.Queries,
+		Shed:                  st.QueriesShed,
+		Lost:                  st.QueriesLost,
+		Orphans:               st.Orphans(),
+		RejectedSub:           st.RejectedSub,
+		ShedEpisodes:          st.ShedTransitions,
+		Goodput:               st.Goodput(),
+		ShedRate:              st.ShedRate(),
+		P95S:                  st.QueryLatency.Quantile(0.95),
+		P99S:                  st.QueryLatency.Quantile(0.99),
+		AttainRate:            1 - st.MissRate(),
+		PeakQueue:             c.cl.PeakQueue(),
+		EndQueue:              c.endQueue,
+		SaturationEpochs:      c.cl.SaturationEpochs(),
+		SurgeExpansions:       c.ctl.SurgeExpansions,
+		SurgeReconsolidations: c.ctl.SurgeReconsolidations,
+		ServerW:               c.serverW,
+		NetW:                  c.netW,
+		TotalW:                c.serverW + c.netW,
+	}
 }
 
 // OverloadTable renders the sweep for the CLI harnesses.
@@ -200,208 +245,4 @@ func OverloadTable(rows []OverloadRow) *Table {
 		)
 	}
 	return t
-}
-
-// overloadCell runs one independent (multiplier, admission) simulation.
-func overloadCell(mult float64, admission bool, cfg OverloadConfig, seed int64) (OverloadCell, error) {
-	var cell OverloadCell
-	if mult <= 0 || math.IsNaN(mult) || math.IsInf(mult, 0) {
-		return cell, fmt.Errorf("non-positive offered-load multiplier %g", mult)
-	}
-	ft, err := fattree.New(fattree.DefaultConfig())
-	if err != nil {
-		return cell, err
-	}
-	eng := sim.New()
-	ncfg := netsim.DefaultConfig()
-	ncfg.FluidBackground = cfg.Fluid
-	net := netsim.New(eng, ft.Graph, ncfg)
-
-	d, err := workload.ServiceDist(workload.DefaultServiceConfig())
-	if err != nil {
-		return cell, err
-	}
-	clCfg := cluster.DefaultConfig(d, func(host, core int) server.Policy {
-		tt := dvfs.NewTimeTrader()
-		tt.Period = cfg.TTPeriod
-		return tt
-	})
-	clCfg.CoresPerServer = 2
-	clCfg.RetryBudget = resolveRetryBudget(cfg.RetryBudget)
-	clCfg.AdmissionControl = admission
-	if admission && cfg.HighWM > 0 {
-		clCfg.Admission.HighWM = cfg.HighWM
-	}
-	cl, err := cluster.New(net, ft.Hosts, clCfg)
-	if err != nil {
-		return cell, err
-	}
-
-	// Offered rate: multipliers ≤ 1 scale the whole window; multipliers
-	// > 1 arrive as a flash crowd (cfg.Profile) that starts at
-	// SurgeStartFrac·DurationS and holds to the end of the window.
-	baseRate := cfg.BaseRate
-	var train workload.SurgeTrain
-	if mult <= 1 {
-		baseRate *= mult
-	} else {
-		start := cfg.SurgeStartFrac * cfg.DurationS
-		train.Surges = append(train.Surges, workload.Surge{
-			Profile:   cfg.Profile,
-			StartS:    start,
-			DurationS: cfg.DurationS - start,
-			Magnitude: mult,
-		})
-	}
-	rate := func() float64 { return baseRate * train.At(eng.Now()) }
-
-	// Flow set: query pair flows reserved for the BASE rate (the surge is
-	// exactly the demand the consolidation did not predict) plus pod-pair
-	// background elephants. With admission on, the defer stage pauses the
-	// elephants before any query is shed.
-	var bgFlows []flow.Flow
-	if cfg.BgUtil > 0 {
-		fid := flow.ID(50000)
-		k := ft.Cfg.K
-		hostsPerPod := len(ft.Hosts) / k
-		for sp := 0; sp < k; sp++ {
-			for dp := 0; dp < k; dp++ {
-				if sp == dp {
-					continue
-				}
-				bgFlows = append(bgFlows, flow.Flow{
-					ID:        fid,
-					Src:       ft.Hosts[sp*hostsPerPod+dp%hostsPerPod],
-					Dst:       ft.Hosts[dp*hostsPerPod+sp%hostsPerPod],
-					DemandBps: cfg.BgUtil * ft.Cfg.LinkCapacityBps,
-					Class:     flow.Background,
-				})
-				fid++
-			}
-		}
-	}
-	reserve := cl.QueryDemandBps(cfg.BaseRate)
-	if reserve < 1 {
-		reserve = 1
-	}
-	all := append(cl.PairFlows(reserve), bgFlows...)
-
-	placed, err := consolidate.Greedy(ft, all, consolidate.Config{ScaleK: cfg.ScaleK, SafetyMarginBps: 50e6})
-	if err != nil {
-		return cell, err
-	}
-	if !placed.Feasible {
-		return cell, fmt.Errorf("%w (%d unplaced)", ErrInfeasible, len(placed.Unplaced))
-	}
-
-	// Fixed-policy controller: the consolidation is precomputed; its role
-	// here is the surge response (re-expanding the fabric and shrinking it
-	// back), not periodic re-optimization.
-	ctlCfg := controller.DefaultConfig()
-	ctlCfg.OptimizePeriod = cfg.DurationS + 3600
-	ctl, err := controller.New(eng, net,
-		controller.OptimizerFunc(func([]flow.Flow) (*consolidate.Result, error) { return placed, nil }),
-		all, ctlCfg)
-	if err != nil {
-		return cell, err
-	}
-	if err := ctl.Start(); err != nil {
-		return cell, err
-	}
-
-	// Saturation signal for the surge response: the per-server DVFS
-	// saturation counters advanced since the last poll, OR admission is
-	// actively shedding, OR the recent end-to-end tail is over the SLA.
-	sla := clCfg.ServerBudget + clCfg.NetworkBudget
-	latWin := metrics.NewWindow(5 * cfg.TTPeriod)
-	cl.OnQueryComplete = func(lat float64) { latWin.Add(eng.Now(), lat) }
-	if admission && cfg.SurgeResponse {
-		var lastSat int64
-		signal := func() bool {
-			sat := cl.SaturationEpochs()
-			hot := sat > lastSat || cl.Shedding() ||
-				latWin.QuantileAtOr(eng.Now(), 0.99, 0) > sla
-			lastSat = sat
-			return hot
-		}
-		err := ctl.StartSurgeResponse(controller.SurgeConfig{
-			CheckPeriod: cfg.DurationS / 40,
-		}, signal)
-		if err != nil {
-			return cell, err
-		}
-	}
-
-	specs := make([]netsim.BackgroundSpec, len(bgFlows))
-	for bi, f := range bgFlows {
-		specs[bi] = netsim.BackgroundSpec{ID: f.ID, Rate: func() float64 {
-			if admission && cl.Deferring() {
-				return 0 // defer stage: background yields before queries shed
-			}
-			return f.DemandBps
-		}, Stream: rng.Derive(seed, fmt.Sprintf("overload-bg-%d", bi))}
-	}
-	bgs := net.StartBackgrounds(specs)
-	sampler := workload.NewSampler(d, seed+5)
-	stop := cl.StartPoisson(rate, sampler.Draw, seed+11)
-
-	// Network power: sample the active set over the traffic window (the
-	// surge response changes it mid-run, so end-state power would lie).
-	netWSum, netWSamples := 0.0, 0
-	sampleDt := cfg.DurationS / 40
-	var sampleNet func()
-	sampleNet = func() {
-		netWSum += net.Active().NetworkPowerW()
-		netWSamples++
-		if eng.Now()+sampleDt <= cfg.DurationS+1e-9 {
-			eng.After(sampleDt, sampleNet)
-		}
-	}
-	sampleNet()
-
-	// Snapshot the backlog and CPU energy the instant traffic stops: the
-	// drain completes the backlog, so post-drain stats would hide it.
-	endQueue, cpuE := 0, 0.0
-	eng.Schedule(cfg.DurationS, func() {
-		endQueue = cl.TotalQueueLen()
-		cpuE = cl.CPUEnergyJ(cfg.DurationS)
-	})
-
-	eng.Run(cfg.DurationS)
-	stop()
-	ctl.Stop()
-	net.StopBackgrounds(bgs)
-	// Drain everything: queued sub-queries, in-flight packets, retries.
-	// Afterwards every query has terminated, so Orphans must be zero.
-	eng.RunAll()
-
-	st := cl.Stats()
-	if cfg.Audit {
-		if err := auditRun(eng, net, st, true); err != nil {
-			return cell, err
-		}
-	}
-	cell.Submitted = st.QueriesSubmitted
-	cell.Completed = st.Queries
-	cell.Shed = st.QueriesShed
-	cell.Lost = st.QueriesLost
-	cell.Orphans = st.Orphans()
-	cell.RejectedSub = st.RejectedSub
-	cell.ShedEpisodes = st.ShedTransitions
-	cell.Goodput = st.Goodput()
-	cell.ShedRate = st.ShedRate()
-	cell.P95S = st.QueryLatency.Quantile(0.95)
-	cell.P99S = st.QueryLatency.Quantile(0.99)
-	cell.AttainRate = 1 - st.MissRate()
-	cell.PeakQueue = cl.PeakQueue()
-	cell.EndQueue = endQueue
-	cell.SaturationEpochs = cl.SaturationEpochs()
-	cell.SurgeExpansions = ctl.SurgeExpansions
-	cell.SurgeReconsolidations = ctl.SurgeReconsolidations
-	cell.ServerW = cpuE/cfg.DurationS + float64(len(ft.Hosts))*power.ServerStaticW
-	if netWSamples > 0 {
-		cell.NetW = netWSum / float64(netWSamples)
-	}
-	cell.TotalW = cell.ServerW + cell.NetW
-	return cell, nil
 }

@@ -4,19 +4,8 @@ import (
 	"fmt"
 
 	"eprons/internal/cluster"
-	"eprons/internal/consolidate"
-	"eprons/internal/controller"
-	"eprons/internal/dvfs"
-	"eprons/internal/fattree"
 	"eprons/internal/faults"
-	"eprons/internal/flow"
-	"eprons/internal/netsim"
 	"eprons/internal/parallel"
-	"eprons/internal/power"
-	"eprons/internal/rng"
-	"eprons/internal/server"
-	"eprons/internal/sim"
-	"eprons/internal/workload"
 )
 
 // ReplicaConfig drives the replicated search-tier sweep: how do the
@@ -30,9 +19,6 @@ type ReplicaConfig struct {
 	DurationS float64
 	// QueryRate in queries/s (default 40).
 	QueryRate float64
-	// BgUtil is the per-pod-pair background elephant utilization
-	// (default 0; the sweep's interference axis is replica placement).
-	BgUtil float64
 	// ScaleK is the consolidation scale factor (default 1).
 	ScaleK float64
 	// Partitions of the search index (default: cluster's default, one per
@@ -50,10 +36,7 @@ type ReplicaConfig struct {
 	HedgeDelayS float64
 	// RepairMeanS is the mean outage duration (default 0.2 s).
 	RepairMeanS float64
-	// Audit runs the runtime invariant checks (query conservation, hedge
-	// accounting, last-replica reachability) after each drained cell.
-	Audit bool
-	Seed  int64
+	Seed        int64
 	// Workers bounds sweep concurrency; each cell is an independent
 	// simulation with per-cell derived seeds, so results are identical for
 	// every worker count.
@@ -66,9 +49,6 @@ func (c *ReplicaConfig) fill() {
 	}
 	if c.QueryRate <= 0 {
 		c.QueryRate = 40
-	}
-	if c.BgUtil < 0 {
-		c.BgUtil = 0
 	}
 	if c.ScaleK <= 0 {
 		c.ScaleK = 1
@@ -157,10 +137,67 @@ func ReplicaSweep(replicas []int, selections []cluster.SelectionPolicy, failRate
 		}
 	}
 	return parallel.Map(len(cells), cfg.Workers, func(i int) (ReplicaRow, error) {
-		c := cells[i]
-		row, err := replicaCell(c.r, c.sel, c.rate, cfg, cfg.Seed+int64(i))
+		k := cells[i]
+		c, err := runCell(cellSpec{
+			seed:        cfg.Seed + int64(i),
+			durationS:   cfg.DurationS,
+			scaleK:      cfg.ScaleK,
+			timeoutS:    resolveSubQueryTimeout(cfg.SubQueryTimeout),
+			retryBudget: resolveRetryBudget(cfg.RetryBudget),
+			replica: &replicaSpec{
+				replicas:    k.r,
+				partitions:  cfg.Partitions,
+				selection:   k.sel,
+				hedgeDelayS: cfg.HedgeDelayS,
+			},
+			reserveRate: cfg.QueryRate,
+			queryRate:   cfg.QueryRate,
+			faults: &faults.ScheduleConfig{
+				Duration:          cfg.DurationS,
+				SwitchFailsPerSec: k.rate / 2,
+				LinkFlapsPerSec:   k.rate / 2,
+				RepairMeanS:       cfg.RepairMeanS,
+				FailEdge:          true,
+			},
+			samplePower: true,
+		})
 		if err != nil {
-			return ReplicaRow{}, fmt.Errorf("R=%d %v fail rate %.3g: %w", c.r, c.sel, c.rate, err)
+			return ReplicaRow{}, fmt.Errorf("R=%d %v fail rate %.3g: %w", k.r, k.sel, k.rate, err)
+		}
+		st := c.st
+		row := ReplicaRow{
+			Replicas:        k.r,
+			Selection:       k.sel,
+			FailRate:        k.rate,
+			Submitted:       st.QueriesSubmitted,
+			Completed:       st.Queries,
+			Lost:            st.QueriesLost,
+			Orphans:         st.Orphans(),
+			Goodput:         st.Goodput(),
+			P95S:            st.QueryLatency.Quantile(0.95),
+			P99S:            st.QueryLatency.Quantile(0.99),
+			SubAttempts:     st.SubAttempts,
+			Failovers:       st.Failovers,
+			Retries:         st.Retries,
+			Timeouts:        st.Timeouts,
+			DroppedSub:      st.DroppedSub,
+			Hedges:          st.Hedges,
+			HedgeWins:       st.HedgeWins,
+			HedgeWasted:     st.HedgeWasted,
+			ServerW:         c.serverW,
+			NetW:            c.netW,
+			TotalW:          c.serverW + c.netW,
+			ActiveSwitches:  c.activeSwitches,
+			StrandedRejects: c.ctl.StrandedRejects,
+			Repaired:        c.ctl.RepairedRoutes,
+			Emergencies:     c.ctl.Emergencies,
+			FaultsInjected:  c.faultsInjected,
+		}
+		if base := st.SubAttempts - st.Hedges; base > 0 {
+			row.HedgeRate = float64(st.Hedges) / float64(base)
+		}
+		if st.SubAttempts > 0 {
+			row.WastedFrac = float64(st.HedgeWasted) / float64(st.SubAttempts)
 		}
 		return row, nil
 	})
@@ -192,192 +229,4 @@ func ReplicaTable(rows []ReplicaRow) *Table {
 		)
 	}
 	return t
-}
-
-// replicaCell runs one independent (R, selection, fault rate) simulation.
-func replicaCell(r int, sel cluster.SelectionPolicy, failRate float64, cfg ReplicaConfig, seed int64) (ReplicaRow, error) {
-	var row ReplicaRow
-	ft, err := fattree.New(fattree.DefaultConfig())
-	if err != nil {
-		return row, err
-	}
-	eng := sim.New()
-	net := netsim.New(eng, ft.Graph, netsim.DefaultConfig())
-
-	d, err := workload.ServiceDist(workload.DefaultServiceConfig())
-	if err != nil {
-		return row, err
-	}
-	clCfg := cluster.DefaultConfig(d, func(host, core int) server.Policy { return dvfs.NewMaxFreq() })
-	clCfg.CoresPerServer = 2
-	clCfg.SubQueryTimeout = resolveSubQueryTimeout(cfg.SubQueryTimeout)
-	clCfg.RetryBudget = resolveRetryBudget(cfg.RetryBudget)
-	clCfg.Replicas = r
-	clCfg.Partitions = cfg.Partitions
-	clCfg.Selection = sel
-	clCfg.HedgeDelayS = cfg.HedgeDelayS
-	clCfg.Seed = seed
-	pods := make([]int, len(ft.Hosts))
-	for i, h := range ft.Hosts {
-		pods[i] = ft.HostPod(h)
-	}
-	clCfg.HostPods = pods
-	cl, err := cluster.New(net, ft.Hosts, clCfg)
-	if err != nil {
-		return row, err
-	}
-
-	// Flow set: query pair flows plus optional pod-pair background
-	// elephants (same layout as the availability sweep).
-	var bgFlows []flow.Flow
-	if cfg.BgUtil > 0 {
-		fid := flow.ID(50000)
-		k := ft.Cfg.K
-		hostsPerPod := len(ft.Hosts) / k
-		for sp := 0; sp < k; sp++ {
-			for dp := 0; dp < k; dp++ {
-				if sp == dp {
-					continue
-				}
-				bgFlows = append(bgFlows, flow.Flow{
-					ID:        fid,
-					Src:       ft.Hosts[sp*hostsPerPod+dp%hostsPerPod],
-					Dst:       ft.Hosts[dp*hostsPerPod+sp%hostsPerPod],
-					DemandBps: cfg.BgUtil * ft.Cfg.LinkCapacityBps,
-					Class:     flow.Background,
-				})
-				fid++
-			}
-		}
-	}
-	reserve := cl.QueryDemandBps(cfg.QueryRate)
-	if reserve < 1 {
-		reserve = 1
-	}
-	all := append(cl.PairFlows(reserve), bgFlows...)
-
-	placed, err := consolidate.Greedy(ft, all, consolidate.Config{ScaleK: cfg.ScaleK, SafetyMarginBps: 50e6})
-	if err != nil {
-		return row, err
-	}
-	if !placed.Feasible {
-		return row, fmt.Errorf("%w (%d unplaced)", ErrInfeasible, len(placed.Unplaced))
-	}
-	row.ActiveSwitches = placed.Active.ActiveSwitches()
-
-	// Fixed-policy controller armed with the replica guard: the
-	// consolidation is precomputed, and the guard vetoes it (failing the
-	// cell) if it would strand a partition.
-	ctlCfg := controller.DefaultConfig()
-	ctlCfg.OptimizePeriod = cfg.DurationS + 3600
-	ctl, err := controller.New(eng, net,
-		controller.OptimizerFunc(func([]flow.Flow) (*consolidate.Result, error) { return placed, nil }),
-		all, ctlCfg)
-	if err != nil {
-		return row, err
-	}
-	parts := cl.PartitionHosts()
-	ctl.SetReplicaGuard(parts)
-
-	// The injector interposes before the controller installs anything.
-	// Repair events re-admit suspect replicas: a recovered host rejoins
-	// the selection pool the moment its fabric comes back.
-	inj := faults.NewInjector(net)
-	inj.OnChange = func(ev faults.Event) {
-		ctl.RepairRoutes()
-		if ev.Kind == faults.SwitchRepair || ev.Kind == faults.LinkRepair {
-			cl.ReadmitReplicas()
-		}
-	}
-	sched := faults.Generate(ft.Graph, faults.ScheduleConfig{
-		Duration:          cfg.DurationS,
-		SwitchFailsPerSec: failRate / 2,
-		LinkFlapsPerSec:   failRate / 2,
-		RepairMeanS:       cfg.RepairMeanS,
-		FailEdge:          true,
-	}, seed)
-	if err := inj.Start(sched); err != nil {
-		return row, err
-	}
-	if err := ctl.Start(); err != nil {
-		return row, err
-	}
-
-	specs := make([]netsim.BackgroundSpec, len(bgFlows))
-	for bi, f := range bgFlows {
-		specs[bi] = netsim.BackgroundSpec{ID: f.ID, Rate: func() float64 { return f.DemandBps },
-			Stream: rng.Derive(seed, fmt.Sprintf("replica-bg-%d", bi))}
-	}
-	bgs := net.StartBackgrounds(specs)
-	sampler := workload.NewSampler(d, seed+5)
-	stop := cl.StartPoisson(func() float64 { return cfg.QueryRate }, sampler.Draw, seed+11)
-
-	// Joint power over the traffic window: sampled network power (repairs
-	// and emergencies change the active set mid-run) plus the CPU energy
-	// snapshot the instant traffic stops.
-	netWSum, netWSamples := 0.0, 0
-	sampleDt := cfg.DurationS / 40
-	var sampleNet func()
-	sampleNet = func() {
-		netWSum += net.Active().NetworkPowerW()
-		netWSamples++
-		if eng.Now()+sampleDt <= cfg.DurationS+1e-9 {
-			eng.After(sampleDt, sampleNet)
-		}
-	}
-	sampleNet()
-	cpuE := 0.0
-	eng.Schedule(cfg.DurationS, func() { cpuE = cl.CPUEnergyJ(cfg.DurationS) })
-
-	eng.Run(cfg.DurationS)
-	stop()
-	ctl.Stop()
-	net.StopBackgrounds(bgs)
-	// Drain everything: in-flight packets, hedge and retry timers, repair
-	// events. Afterwards every query and every hedge has terminated.
-	eng.RunAll()
-
-	st := cl.Stats()
-	if cfg.Audit {
-		if err := auditRun(eng, net, st, true); err != nil {
-			return row, err
-		}
-		if err := auditReplicaReachability(net, parts); err != nil {
-			return row, err
-		}
-	}
-	row.Replicas = r
-	row.Selection = sel
-	row.FailRate = failRate
-	row.Submitted = st.QueriesSubmitted
-	row.Completed = st.Queries
-	row.Lost = st.QueriesLost
-	row.Orphans = st.Orphans()
-	row.Goodput = st.Goodput()
-	row.P95S = st.QueryLatency.Quantile(0.95)
-	row.P99S = st.QueryLatency.Quantile(0.99)
-	row.SubAttempts = st.SubAttempts
-	row.Failovers = st.Failovers
-	row.Retries = st.Retries
-	row.Timeouts = st.Timeouts
-	row.DroppedSub = st.DroppedSub
-	row.Hedges = st.Hedges
-	row.HedgeWins = st.HedgeWins
-	row.HedgeWasted = st.HedgeWasted
-	if base := st.SubAttempts - st.Hedges; base > 0 {
-		row.HedgeRate = float64(st.Hedges) / float64(base)
-	}
-	if st.SubAttempts > 0 {
-		row.WastedFrac = float64(st.HedgeWasted) / float64(st.SubAttempts)
-	}
-	row.ServerW = cpuE/cfg.DurationS + float64(len(ft.Hosts))*power.ServerStaticW
-	if netWSamples > 0 {
-		row.NetW = netWSum / float64(netWSamples)
-	}
-	row.TotalW = row.ServerW + row.NetW
-	row.StrandedRejects = ctl.StrandedRejects
-	row.Repaired = ctl.RepairedRoutes
-	row.Emergencies = ctl.Emergencies
-	row.FaultsInjected = inj.Injected
-	return row, nil
 }

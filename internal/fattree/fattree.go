@@ -12,6 +12,7 @@ package fattree
 import (
 	"fmt"
 
+	"eprons/internal/flow"
 	"eprons/internal/topology"
 )
 
@@ -154,6 +155,32 @@ func (ft *FatTree) Core(group, idx int) topology.NodeID {
 
 // HostPod returns the pod of a host.
 func (ft *FatTree) HostPod(h topology.NodeID) int { return int(ft.hostPod[h]) }
+
+// PodPairElephants returns one background elephant per ordered pod pair,
+// source-pod-major, with consecutive IDs from first and demandBps each.
+// Pod sp's elephant to pod dp runs from host dp of pod sp to host sp of
+// pod dp (indices mod hosts per pod), so each source host sends at most
+// one elephant and access links are not the bottleneck.
+func (ft *FatTree) PodPairElephants(first flow.ID, demandBps float64) []flow.Flow {
+	k := ft.Cfg.K
+	perPod := len(ft.Hosts) / k
+	out := make([]flow.Flow, 0, k*(k-1))
+	for sp := 0; sp < k; sp++ {
+		for dp := 0; dp < k; dp++ {
+			if sp == dp {
+				continue
+			}
+			out = append(out, flow.Flow{
+				ID:        first + flow.ID(len(out)),
+				Src:       ft.Hosts[sp*perPod+dp%perPod],
+				Dst:       ft.Hosts[dp*perPod+sp%perPod],
+				DemandBps: demandBps,
+				Class:     flow.Background,
+			})
+		}
+	}
+	return out
+}
 
 // NumSwitches returns the total switch count.
 func (ft *FatTree) NumSwitches() int {

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"eprons/internal/flow"
 	"eprons/internal/topology"
 )
 
@@ -226,6 +227,41 @@ func TestQuickPathCountFormula(t *testing.T) {
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 			t.Fatalf("k=%d: %v", k, err)
+		}
+	}
+}
+
+// TestPodPairElephantsK4 pins the k=4 layout: 12 elephants in
+// source-pod-major order with consecutive IDs, pod sp's flow to pod dp
+// leaving host dp of pod sp for host sp of pod dp, and no host sending
+// two.
+func TestPodPairElephantsK4(t *testing.T) {
+	ft := build(t, 4)
+	fs := ft.PodPairElephants(500, 2e8)
+	if len(fs) != 12 {
+		t.Fatalf("%d elephants, want 12", len(fs))
+	}
+	senders := map[topology.NodeID]bool{}
+	i := 0
+	for sp := 0; sp < 4; sp++ {
+		for dp := 0; dp < 4; dp++ {
+			if sp == dp {
+				continue
+			}
+			f := fs[i]
+			want := flow.Flow{ID: flow.ID(500 + i), Src: ft.Hosts[sp*4+dp], Dst: ft.Hosts[dp*4+sp],
+				DemandBps: 2e8, Class: flow.Background}
+			if f != want {
+				t.Fatalf("elephant %d = %+v, want %+v", i, f, want)
+			}
+			if ft.HostPod(f.Src) != sp || ft.HostPod(f.Dst) != dp {
+				t.Fatalf("elephant %d runs pod %d→%d, want %d→%d", i, ft.HostPod(f.Src), ft.HostPod(f.Dst), sp, dp)
+			}
+			if senders[f.Src] {
+				t.Fatalf("host %d sends two elephants", f.Src)
+			}
+			senders[f.Src] = true
+			i++
 		}
 	}
 }
