@@ -46,8 +46,8 @@ func TestFig10ECMPGolden(t *testing.T) {
 }
 
 // rowsDump renders every field of each row, one row per line: floats at
-// %.17g (which round-trips float64 exactly), integers at %d, nested
-// structs as dotted names. Equality of two dumps is bit-identity of the
+// %.17g (which round-trips float64 exactly), integers at %d, strings at
+// %q, booleans at %t, nested structs as dotted names. Equality of two dumps is bit-identity of the
 // sweep output.
 func rowsDump[T any](t *testing.T, rows []T) string {
 	t.Helper()
@@ -63,6 +63,10 @@ func rowsDump[T any](t *testing.T, rows []T) string {
 				fields = append(fields, fmt.Sprintf("%s=%.17g", name, f.Float()))
 			case reflect.Int, reflect.Int64:
 				fields = append(fields, fmt.Sprintf("%s=%d", name, f.Int()))
+			case reflect.String:
+				fields = append(fields, fmt.Sprintf("%s=%q", name, f.String()))
+			case reflect.Bool:
+				fields = append(fields, fmt.Sprintf("%s=%t", name, f.Bool()))
 			default:
 				t.Fatalf("rowsDump: field %s has unsupported kind %v", name, f.Kind())
 			}

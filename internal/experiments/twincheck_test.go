@@ -68,6 +68,7 @@ func TestTwinCheckBandsAndClamps(t *testing.T) {
 	if sum.Disagree != 0 {
 		t.Fatalf("twin/DES feasibility disagreement on %d cells", sum.Disagree)
 	}
+	robustnessGolden(t, "twincheck.txt", sum.Rows)
 }
 
 // quickEPRONSTable trains the 4-core quick EPRONS server table — the DES
