@@ -38,10 +38,11 @@
 #                     parallel robustness cell runner.
 #   make fuzz-short — a bounded run of the native fuzz targets (surge
 #                     multiplier safety, admission hysteresis invariants,
-#                     replica failover conservation under random crash/repair
-#                     schedules, fluid promote/demote vs a dense
-#                     reference, analytic-twin monotonicity, route-segment
-#                     intern/materialize equivalence, consolidation kernel
+#                     broadcast retry and replica failover conservation
+#                     under random crash/repair schedules, fluid
+#                     promote/demote vs a dense reference, analytic-twin
+#                     monotonicity, route-segment intern/materialize
+#                     equivalence, consolidation kernel
 #                     vs its frozen node-path reference, running hedge
 #                     quantile vs the exact tracker); FUZZTIME=30s
 #                     lengthens each target's budget.

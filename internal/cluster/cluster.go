@@ -1,8 +1,16 @@
 // Package cluster simulates the paper's partition-aggregate web-search
 // application (§V-A): each user query arrives at an aggregator host, which
-// broadcasts sub-queries to every other host (the Index Serving Nodes);
-// each ISN processes its sub-query on a DVFS-managed server and returns a
+// sends one sub-query per data partition to an Index Serving Node; each
+// ISN processes its sub-query on a DVFS-managed server and returns a
 // reply; the query completes when the last reply reaches the aggregator.
+//
+// Every sub-query runs one lifecycle — send, request arrival, server,
+// reply, and on a drop or timeout failover, retry or failure — on either
+// tier. Only the candidate hosts differ. On the default broadcast tier
+// every host but the aggregator is its own one-replica partition (1
+// aggregator + 15 ISNs on the 16-host cell); with Config.Replicas > 0 a
+// partition's candidates are its replicas from internal/placement
+// (replica.go).
 //
 // The per-request latency monitor of the EPRONS framework lives here: the
 // measured network latency of each sub-query request is turned into slack
@@ -17,6 +25,7 @@ import (
 	"eprons/internal/flow"
 	"eprons/internal/metrics"
 	"eprons/internal/netsim"
+	"eprons/internal/placement"
 	"eprons/internal/power"
 	"eprons/internal/rng"
 	"eprons/internal/server"
@@ -82,23 +91,24 @@ type Config struct {
 
 	// Replicas enables the replicated data tier: Partitions × Replicas
 	// replica placements by consistent hashing (internal/placement), and a
-	// query touches one replica per partition instead of every host. 0
-	// (the default) keeps the legacy broadcast fan-out bit-identical —
-	// none of the replica machinery runs. See replica.go.
+	// query touches one replica per partition. 0 (the default) is the
+	// broadcast tier: every host but the aggregator is its own one-replica
+	// partition. See replica.go.
 	Replicas int
 	// Partitions is the number of data partitions (default len(hosts)-1,
-	// matching the broadcast fan-out's sub-query count per query). Only
-	// meaningful with Replicas > 0.
+	// matching the broadcast fan-out's sub-query count per query). Must be
+	// 0 with Replicas == 0.
 	Partitions int
 	// HostPods maps host index → failure domain (pod) for replica
 	// spreading: no two replicas of a partition share a pod when Replicas
 	// ≤ distinct pods. Nil treats all hosts as one domain.
 	HostPods []int
 	// Selection picks which replica serves each sub-query (SelPrimary,
-	// SelPowerOfTwo, SelHedged). Only meaningful with Replicas > 0.
+	// SelPowerOfTwo, SelHedged). Must be SelPrimary with Replicas == 0.
 	Selection SelectionPolicy
 	// HedgeDelayS overrides the hedge-trigger delay for SelHedged; 0 (the
-	// default) tracks the p95 of resolved sub-query round trips.
+	// default) tracks the p95 of resolved sub-query round trips. Must be 0
+	// with Replicas == 0.
 	HedgeDelayS float64
 
 	// AdmissionControl enables the overload control plane: bounded
@@ -164,6 +174,19 @@ func (c *Config) fill() error {
 	if c.RetryDelay <= 0 {
 		c.RetryDelay = 1e-3
 	}
+	if c.Replicas < 0 {
+		return fmt.Errorf("cluster: negative replica count %d", c.Replicas)
+	}
+	if c.Selection < SelPrimary || c.Selection > SelHedged {
+		return fmt.Errorf("cluster: unknown selection policy %d", int(c.Selection))
+	}
+	if c.HedgeDelayS < 0 {
+		return fmt.Errorf("cluster: negative hedge delay %g", c.HedgeDelayS)
+	}
+	if c.Replicas == 0 && (c.Selection != SelPrimary || c.HedgeDelayS != 0 || c.Partitions != 0) {
+		return fmt.Errorf("cluster: selection %v, hedge delay %g and %d partitions need Replicas > 0",
+			c.Selection, c.HedgeDelayS, c.Partitions)
+	}
 	if c.AdmissionControl {
 		if c.Admission.HighWM <= 0 {
 			c.Admission.HighWM = SLAWatermark(c.CoresPerServer, c.ServerBudget, c.ServiceDist.Mean())
@@ -219,12 +242,14 @@ type Stats struct {
 	// many distinct shedding episodes the run saw (hysteresis keeps this
 	// far below QueriesShed under a sustained surge).
 	ShedTransitions int
-	// Replicated-mode counters (Config.Replicas > 0; all zero otherwise).
-	// SubAttempts counts every attempt transmitted (originals, failovers,
-	// retries and hedges), the denominator of the hedge extra-work cost.
+	// SubAttempts counts every attempt transmitted on either tier
+	// (originals, failovers, retries and hedges), the denominator of the
+	// hedge extra-work cost: a fault-free broadcast query on the 16-host
+	// cell sends 15.
 	SubAttempts int
 	// Failovers counts re-sends redirected to a DIFFERENT replica after a
-	// drop or timeout — spent before the query's shared RetryBudget.
+	// drop or timeout — spent before the query's shared RetryBudget. Zero
+	// on the broadcast tier, whose partitions have one replica each.
 	Failovers int
 	// Hedges counts duplicate attempts launched by SelHedged; HedgeWins
 	// counts sub-queries the duplicate resolved first; HedgeWasted counts
@@ -281,9 +306,17 @@ type Cluster struct {
 	agg    *rng.Stream
 	nextID int64
 
-	// repl carries the replicated-mode state (see replica.go); nil with
-	// Replicas == 0, which keeps the broadcast path untouched.
-	repl *replicaState
+	// Replica selection state (replica.go). pl and sel are nil on the
+	// broadcast tier.
+	pl  *placement.Placement
+	sel *rng.Stream // power-of-two candidate draws
+	// suspect marks hosts believed down (their attempts dropped or timed
+	// out); selection and failover skip them until ReadmitReplicas.
+	suspect []bool
+	// rtt tracks the p95 of resolved sub-query round trips, the
+	// hedge-trigger delay once warmed up (SelHedged only).
+	rtt  metrics.RunningQuantile
+	cand []int // pick's candidate scratch buffer
 
 	// adm is the admission state machine (Config.AdmissionControl); its
 	// zero value with admission disabled is never consulted.
@@ -313,6 +346,9 @@ func New(net *netsim.Network, hosts []topology.NodeID, cfg Config) (*Cluster, er
 		hosts: hosts,
 		agg:   rng.Derive(cfg.Seed, "aggregator"),
 		adm:   cfg.Admission,
+
+		suspect: make([]bool, len(hosts)),
+		rtt:     metrics.NewRunningQuantile(0.95),
 	}
 	if err := initReplication(c); err != nil {
 		return nil, err
@@ -513,33 +549,62 @@ func (c *Cluster) SaturationEpochs() int64 {
 // itself always terminates as completed or lost — never silently vanishing
 // the way a dropped sub-query used to.
 type query struct {
-	start  float64
-	total  int
-	done   int // sub-queries answered
-	failed int // sub-queries permanently failed
-	budget int // remaining retry budget (shared across the sub-queries)
+	start   float64
+	total   int
+	done    int            // sub-queries answered
+	failed  int            // sub-queries permanently failed
+	budget  int            // shared retry budget, spent only after failover is exhausted
+	sampler func() float64 // base service-time draws
 }
 
-// subQuery tracks one ISN's sub-query across retry attempts. gen is the
-// attempt generation: callbacks carry the generation they were armed with,
-// and stale callbacks (a late reply racing a timeout-triggered retry, a
-// drop notification for an abandoned attempt) are ignored.
+// subQuery tracks one partition's sub-query across its attempts. A
+// generation is the original send plus, under SelHedged, one hedge
+// duplicate; once every attempt of a generation is dead (dropped, refused
+// or timed out) the next generation fails over or retries.
 type subQuery struct {
-	q        *query
-	aggIdx   int
-	isn      int
-	base     float64
-	gen      int
-	resolved bool
-	timer    sim.EventID
-	hasTimer bool
+	q         *query
+	aggIdx    int
+	part      int
+	gen       int32
+	inflight  int32 // live attempts of the current generation (1, or 2 hedged)
+	failovers int
+	resolved  bool
+	hasTimer  bool
+	hasHedge  bool
+	// host and base hold the current generation's target hosts and base
+	// service times by attempt slot (0 the original, 1 the hedge). An
+	// original send fills both host slots, so a generation without a hedge
+	// names its one host twice.
+	host [2]int
+	base [2]float64
+	// tried lists the hosts tried since a retry last reopened the replica
+	// set; it stays nil for one-candidate partitions.
+	tried      []int
+	sentAt     float64
+	timer      sim.EventID
+	hedgeTimer sim.EventID
 }
+
+// attempt names one send of a sub-query: its generation and slot.
+// Callbacks carry it, so a stale one (a late reply racing a retry, a drop
+// of an abandoned attempt) is ignored — and, for a hedge, accounted. It
+// packs into one word, which keeps the per-message callbacks small.
+type attempt struct {
+	gen, slot int32
+}
+
+func (a attempt) hedge() bool { return a.slot == 1 }
+
+// stale reports whether a belongs to an abandoned generation or to a
+// sub-query that already resolved.
+func (sq *subQuery) stale(a attempt) bool { return sq.resolved || a.gen != sq.gen }
 
 // SubmitQuery runs one partition-aggregate query starting now: a random
-// aggregator broadcasts to every other host; sampler provides each
-// sub-query's base service time. A sub-query whose request or reply is
-// dropped — or, with SubQueryTimeout set, whose reply is late — is retried
-// while the query's RetryBudget lasts, then marks the query lost.
+// aggregator sends one sub-query per partition (see pick for the
+// candidate hosts); sampler provides the base service times. A sub-query
+// whose request or reply is dropped — or, with SubQueryTimeout set, whose
+// reply is late — fails over to another replica, then retries while the
+// query's RetryBudget lasts, then marks the query lost.
 //
 // With AdmissionControl on, the aggregator first folds the current queue
 // pressure into the watermark state machine; at LevelShed the query is
@@ -562,41 +627,68 @@ func (c *Cluster) SubmitQuery(sampler func() float64) {
 			return
 		}
 	}
-	if c.repl != nil {
-		c.submitReplicated(aggIdx, sampler)
-		return
-	}
-	q := &query{
-		start:  c.eng.Now(),
-		total:  len(c.hosts) - 1,
-		budget: c.Cfg.RetryBudget,
-	}
-	for isn := range c.hosts {
-		if isn == aggIdx {
-			continue
-		}
-		sq := &subQuery{q: q, aggIdx: aggIdx, isn: isn, base: sampler()}
-		c.sendAttempt(sq)
+	q := &query{start: c.eng.Now(), total: c.partitions(), budget: c.Cfg.RetryBudget, sampler: sampler}
+	for part := 0; part < q.total; part++ {
+		c.sendAttempt(&subQuery{q: q, aggIdx: aggIdx, part: part}, 0)
 	}
 }
 
-// sendAttempt transmits the current attempt of sq and arms its timeout.
-func (c *Cluster) sendAttempt(sq *subQuery) {
-	gen := sq.gen
-	if c.Cfg.SubQueryTimeout > 0 {
-		sq.timer = c.eng.After(c.Cfg.SubQueryTimeout, func() { c.onTimeout(sq, gen) })
-		sq.hasTimer = true
+// sendAttempt transmits one attempt of sq in the given slot. The original
+// owns the generation's timers (retry timeout and, under SelHedged, the
+// hedge trigger); a hedge shares the original's timeout. A replica
+// co-located with the aggregator executes locally — no network hop in
+// either direction.
+func (c *Cluster) sendAttempt(sq *subQuery, slot int32) {
+	host := c.pick(sq)
+	at := attempt{gen: sq.gen, slot: slot}
+	sq.inflight++
+	c.stats.SubAttempts++
+	if at.hedge() {
+		sq.host[1] = host
+		c.stats.Hedges++
+	} else {
+		sq.host = [2]int{host, host}
+		sq.sentAt = c.eng.Now()
+		if c.Cfg.SubQueryTimeout > 0 {
+			sq.timer = c.eng.After(c.Cfg.SubQueryTimeout, func() { c.onTimeout(sq, at) })
+			sq.hasTimer = true
+		}
+		if c.Cfg.Selection == SelHedged {
+			sq.hedgeTimer = c.eng.After(c.hedgeDelay(), func() { c.fireHedge(sq, at) })
+			sq.hasHedge = true
+		}
 	}
-	c.net.SendMessage(c.FlowID(sq.aggIdx, sq.isn), c.Cfg.SubQueryBytes,
-		func(netLat float64) { c.onRequestArrived(sq, gen, netLat) },
-		func() { c.onDrop(sq, gen) })
+	// Broadcast draws the base service time once per sub-query, in ISN
+	// order, and reuses it on retries. Every replica attempt redraws it: a
+	// re-send or hedge runs on a different replica whose local interference
+	// differs, which is exactly why hedging can cut the tail.
+	if c.pl != nil || sq.gen == 0 {
+		sq.base[slot] = sq.q.sampler()
+	}
+	if host == sq.aggIdx {
+		c.onRequestArrived(sq, at, 0)
+		return
+	}
+	c.net.SendMessage(c.FlowID(sq.aggIdx, host), c.Cfg.SubQueryBytes,
+		func(netLat float64) { c.onRequestArrived(sq, at, netLat) },
+		func() { c.onDrop(sq, at) })
+}
+
+// fireHedge launches the duplicate attempt when the hedge timer elapses
+// with the original still unresolved.
+func (c *Cluster) fireHedge(sq *subQuery, at attempt) {
+	sq.hasHedge = false
+	if !sq.stale(at) {
+		c.sendAttempt(sq, 1)
+	}
 }
 
 // onRequestArrived turns a delivered sub-query request into a server
 // request with the measured network slack (paper §IV-C).
-func (c *Cluster) onRequestArrived(sq *subQuery, gen int, netLat float64) {
-	if sq.resolved || gen != sq.gen {
-		return // attempt abandoned while the request was in flight
+func (c *Cluster) onRequestArrived(sq *subQuery, at attempt, netLat float64) {
+	if sq.stale(at) {
+		c.wasteHedge(at) // suppressed before reaching the server
+		return
 	}
 	now := c.eng.Now()
 	c.stats.NetReqLat.Add(netLat)
@@ -616,81 +708,173 @@ func (c *Cluster) onRequestArrived(sq *subQuery, gen int, netLat float64) {
 	req := &server.Request{
 		ID:             c.nextID,
 		Arrival:        now,
-		BaseServiceS:   sq.base,
+		BaseServiceS:   sq.base[at.slot],
 		ServerDeadline: now + c.Cfg.ServerBudget,
 		SlackDeadline:  now + c.Cfg.ServerBudget + slack,
 	}
-	c.enqueueWithReply(sq, gen, req)
+	c.enqueueWithReply(sq, at, req)
 }
 
-// onReplyArrived resolves a sub-query whose reply made it back.
-func (c *Cluster) onReplyArrived(sq *subQuery, gen int, replyLat float64) {
-	if sq.resolved || gen != sq.gen {
-		return // a retry already superseded this attempt
+// pendingMap tracks reply callbacks per request ID for each server.
+type pendingMap map[int64]func()
+
+// enqueueWithReply queues req at the attempt's host and registers the
+// reply send on its completion. The host suppresses the reply for attempts
+// the aggregator has already abandoned (the server work is wasted, as it
+// would be in a real cluster); for a hedge that suppression is its
+// terminal accounting point.
+func (c *Cluster) enqueueWithReply(sq *subQuery, at attempt, req *server.Request) {
+	host := sq.host[at.slot]
+	srv := c.srvs[host]
+	if srv.OnComplete == nil {
+		pend := pendingMap{}
+		c.pendings[host] = pend
+		srv.OnComplete = func(r *server.Request, finish float64) {
+			if cb, ok := pend[r.ID]; ok {
+				delete(pend, r.ID)
+				cb()
+			}
+		}
+	}
+	arrival := req.Arrival
+	c.pendings[host][req.ID] = func() {
+		if sq.stale(at) {
+			c.wasteHedge(at) // abandoned while queued or in service
+			return
+		}
+		c.stats.ServerLat.Add(c.eng.Now() - arrival)
+		if host == sq.aggIdx {
+			c.onReplyArrived(sq, at, 0)
+			return
+		}
+		c.net.SendMessage(c.FlowID(host, sq.aggIdx), c.Cfg.ReplyBytes,
+			func(replyLat float64) { c.onReplyArrived(sq, at, replyLat) },
+			func() { c.onDrop(sq, at) })
+	}
+	if c.Cfg.AdmissionControl {
+		// Bounded queue: a sub-query that slipped past the aggregator while
+		// pressure rose is refused here rather than growing the queue past
+		// the watermark. The refusal follows the failover/retry path so the
+		// query still terminates; a full queue is load, not death, so the
+		// host is not marked suspect.
+		if !srv.TryEnqueue(req) {
+			delete(c.pendings[host], req.ID)
+			c.stats.RejectedSub++
+			c.wasteHedge(at)
+			if sq.inflight--; sq.inflight <= 0 {
+				c.failAttempt(sq, false)
+			}
+		}
+		return
+	}
+	srv.Enqueue(req)
+}
+
+// onReplyArrived resolves a sub-query whose reply made it back first.
+func (c *Cluster) onReplyArrived(sq *subQuery, at attempt, replyLat float64) {
+	if sq.stale(at) {
+		c.wasteHedge(at) // the other attempt won, or a retry superseded this one
+		return
 	}
 	sq.resolved = true
-	c.disarmTimer(sq)
+	c.disarmTimers(sq)
+	if at.hedge() {
+		c.stats.HedgeWins++
+	}
 	c.stats.NetReplyLat.Add(replyLat)
+	if c.Cfg.Selection == SelHedged {
+		c.rtt.Add(c.eng.Now() - sq.sentAt)
+	}
 	sq.q.done++
-	c.maybeFinish(sq)
+	c.finish(sq.q)
 }
 
 // onDrop handles the simulator's message-level drop notification for
-// either direction of an attempt.
-func (c *Cluster) onDrop(sq *subQuery, gen int) {
+// either direction of an attempt. The host becomes suspect; the sub-query
+// only moves on once every attempt of the generation is dead (a dropped
+// original with a hedge still racing does nothing yet).
+func (c *Cluster) onDrop(sq *subQuery, at attempt) {
 	c.stats.DroppedSub++
-	if sq.resolved || gen != sq.gen {
-		return // drop of an already-abandoned attempt
+	c.wasteHedge(at) // terminal for a hedge either way
+	if sq.stale(at) {
+		return
 	}
-	c.failAttempt(sq, false)
+	c.suspect[sq.host[at.slot]] = true
+	if sq.inflight--; sq.inflight <= 0 {
+		c.failAttempt(sq, false)
+	}
 }
 
-// onTimeout fires when an attempt's reply is late.
-func (c *Cluster) onTimeout(sq *subQuery, gen int) {
-	if sq.resolved || gen != sq.gen {
+// onTimeout fires when no attempt of the generation replied in time. Every
+// host the generation touched is marked suspect — the timer cannot tell
+// which attempt stalled.
+func (c *Cluster) onTimeout(sq *subQuery, at attempt) {
+	if sq.stale(at) {
 		return
 	}
 	sq.hasTimer = false
 	c.stats.Timeouts++
+	c.suspect[sq.host[0]] = true
+	c.suspect[sq.host[1]] = true
 	c.failAttempt(sq, true)
 }
 
-// failAttempt retries the sub-query if budget remains, else resolves it as
-// failed. Timeout-triggered retries re-send immediately; drop-triggered
-// retries wait RetryDelay so route repair can land first.
-func (c *Cluster) failAttempt(sq *subQuery, fromTimeout bool) {
-	c.disarmTimer(sq)
-	sq.gen++ // late callbacks from the dead attempt become stale
-	if sq.q.budget > 0 {
-		sq.q.budget--
-		c.stats.Retries++
-		if fromTimeout {
-			c.sendAttempt(sq)
-		} else {
-			c.eng.After(c.Cfg.RetryDelay, func() {
-				if !sq.resolved {
-					c.sendAttempt(sq)
-				}
-			})
-		}
-		return
+// wasteHedge counts a hedge duplicate that terminated without winning.
+func (c *Cluster) wasteHedge(at attempt) {
+	if at.hedge() {
+		c.stats.HedgeWasted++
 	}
-	sq.resolved = true
-	sq.q.failed++
-	c.maybeFinish(sq)
 }
 
-// disarmTimer cancels a pending retry timer, if armed.
-func (c *Cluster) disarmTimer(sq *subQuery) {
+// failAttempt moves a dead generation on: first failover to another
+// replica (Replicas-1 of them, not charged to the query's budget, so none
+// on the broadcast tier), then the shared RetryBudget with the replica set
+// reopened, then the sub-query resolves failed. Timeout-triggered re-sends
+// go immediately, since the timeout already waited; drop-triggered ones
+// wait RetryDelay so route repair can land first.
+func (c *Cluster) failAttempt(sq *subQuery, fromTimeout bool) {
+	c.disarmTimers(sq)
+	sq.gen++ // late callbacks from the dead generation become stale
+	sq.inflight = 0
+	switch {
+	case sq.failovers < c.Cfg.Replicas-1:
+		sq.failovers++
+		c.stats.Failovers++
+	case sq.q.budget > 0:
+		sq.q.budget--
+		c.stats.Retries++
+		sq.tried = sq.tried[:0] // every replica burned once; reopen the set
+	default:
+		sq.resolved = true
+		sq.q.failed++
+		c.finish(sq.q)
+		return
+	}
+	if fromTimeout {
+		c.sendAttempt(sq, 0)
+		return
+	}
+	c.eng.After(c.Cfg.RetryDelay, func() {
+		if !sq.resolved {
+			c.sendAttempt(sq, 0)
+		}
+	})
+}
+
+// disarmTimers cancels the generation's pending timers, if armed.
+func (c *Cluster) disarmTimers(sq *subQuery) {
 	if sq.hasTimer {
 		c.eng.Cancel(sq.timer)
 		sq.hasTimer = false
 	}
+	if sq.hasHedge {
+		c.eng.Cancel(sq.hedgeTimer)
+		sq.hasHedge = false
+	}
 }
 
-// maybeFinish closes the query once every sub-query has resolved.
-func (c *Cluster) maybeFinish(sq *subQuery) {
-	q := sq.q
+// finish closes the query once every sub-query has resolved.
+func (c *Cluster) finish(q *query) {
 	if q.done+q.failed != q.total {
 		return
 	}
@@ -707,50 +891,6 @@ func (c *Cluster) maybeFinish(sq *subQuery) {
 	if c.OnQueryComplete != nil {
 		c.OnQueryComplete(lat)
 	}
-}
-
-// pending tracks reply callbacks per request ID for each ISN server.
-type pendingMap map[int64]func()
-
-// enqueueWithReply registers the reply send on completion of this request.
-// The ISN suppresses the reply for attempts the aggregator has already
-// abandoned (the server work is wasted, as it would be in a real cluster).
-func (c *Cluster) enqueueWithReply(sq *subQuery, gen int, req *server.Request) {
-	isn := sq.isn
-	srv := c.srvs[isn]
-	if srv.OnComplete == nil {
-		pend := pendingMap{}
-		c.pendings[isn] = pend
-		srv.OnComplete = func(r *server.Request, finish float64) {
-			if cb, ok := pend[r.ID]; ok {
-				delete(pend, r.ID)
-				cb()
-			}
-		}
-	}
-	arrival := req.Arrival
-	c.pendings[isn][req.ID] = func() {
-		if sq.resolved || gen != sq.gen {
-			return // abandoned while queued or in service
-		}
-		c.stats.ServerLat.Add(c.eng.Now() - arrival)
-		c.net.SendMessage(c.FlowID(isn, sq.aggIdx), c.Cfg.ReplyBytes,
-			func(replyLat float64) { c.onReplyArrived(sq, gen, replyLat) },
-			func() { c.onDrop(sq, gen) })
-	}
-	if c.Cfg.AdmissionControl {
-		// Bounded ISN queue: a sub-query that slipped past the aggregator
-		// while pressure rose is refused here rather than growing the
-		// queue past the watermark; the refusal follows the retry path so
-		// the query still terminates (retried or lost, never orphaned).
-		if !srv.TryEnqueue(req) {
-			delete(c.pendings[isn], req.ID)
-			c.stats.RejectedSub++
-			c.failAttempt(sq, false)
-		}
-		return
-	}
-	srv.Enqueue(req)
 }
 
 // StartPoisson launches an open-loop Poisson query stream whose rate is
@@ -862,17 +1002,4 @@ func (c *Cluster) RequestMissRate() float64 {
 		return 0
 	}
 	return float64(misses) / float64(completed)
-}
-
-// RequestP95 returns the 95th-percentile per-sub-query server latency
-// pooled across ISNs (approximated by the max of per-server p95s to avoid
-// merging trackers).
-func (c *Cluster) RequestP95() float64 {
-	worst := 0.0
-	for _, srv := range c.srvs {
-		if q := srv.Stats().ServerLatency.Quantile(0.95); q > worst {
-			worst = q
-		}
-	}
-	return worst
 }

@@ -56,6 +56,28 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(net, ft.Hosts[:1], DefaultConfig(d, maxFreqFactory)); err == nil {
 		t.Fatal("single host accepted")
 	}
+	// Replica knobs that would be silently ignored are rejected.
+	for name, mutate := range map[string]func(*Config){
+		"negative replicas":        func(c *Config) { c.Replicas = -1 },
+		"unknown selection":        func(c *Config) { c.Replicas, c.Selection = 3, SelHedged+1 },
+		"negative selection":       func(c *Config) { c.Replicas, c.Selection = 3, -1 },
+		"negative hedge delay":     func(c *Config) { c.Replicas, c.Selection, c.HedgeDelayS = 3, SelHedged, -1e-3 },
+		"broadcast with p2c":       func(c *Config) { c.Selection = SelPowerOfTwo },
+		"broadcast with hedged":    func(c *Config) { c.Selection = SelHedged },
+		"broadcast hedge delay":    func(c *Config) { c.HedgeDelayS = 1e-3 },
+		"broadcast with partition": func(c *Config) { c.Partitions = 4 },
+	} {
+		cfg := DefaultConfig(d, maxFreqFactory)
+		mutate(&cfg)
+		if _, err := New(net, ft.Hosts, cfg); err == nil {
+			t.Fatalf("%s accepted", name)
+		}
+	}
+	cfg := DefaultConfig(d, maxFreqFactory)
+	cfg.Replicas, cfg.Selection, cfg.HedgeDelayS = 3, SelHedged, 1e-3
+	if _, err := New(net, ft.Hosts, cfg); err != nil {
+		t.Fatalf("valid hedged replica config rejected: %v", err)
+	}
 }
 
 func TestFlowIDsUniqueAndPaired(t *testing.T) {
@@ -117,6 +139,10 @@ func TestSingleQueryCompletes(t *testing.T) {
 	}
 	if st.NetReqLat.Count() != 15 {
 		t.Fatalf("request latency samples %d", st.NetReqLat.Count())
+	}
+	// One attempt per ISN: SubAttempts counts broadcast sends too.
+	if st.SubAttempts != 15 {
+		t.Fatalf("sub-attempts %d, want 15", st.SubAttempts)
 	}
 	if st.DroppedSub != 0 {
 		t.Fatalf("drops %d", st.DroppedSub)

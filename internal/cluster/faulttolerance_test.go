@@ -80,7 +80,8 @@ func TestRetryRecoversFromTransient(t *testing.T) {
 	// Fabric comes back 0.5 ms in — before the 1 ms drop-retry lands.
 	eng.Schedule(0.5e-3, func() { net.SetActive(full) })
 
-	c.SubmitQuery(func() float64 { return 1e-3 })
+	draws := 0
+	c.SubmitQuery(func() float64 { draws++; return 1e-3 })
 	eng.RunAll()
 
 	st := c.Stats()
@@ -91,6 +92,11 @@ func TestRetryRecoversFromTransient(t *testing.T) {
 	}
 	if st.Retries != wantSubs || st.DroppedSub != wantSubs {
 		t.Fatalf("retries=%d dropped=%d, want %d each", st.Retries, st.DroppedSub, wantSubs)
+	}
+	// Broadcast draws each base service time once and reuses it on the
+	// retry; only replica attempts redraw.
+	if draws != wantSubs || st.SubAttempts != 2*wantSubs {
+		t.Fatalf("draws=%d attempts=%d, want %d and %d", draws, st.SubAttempts, wantSubs, 2*wantSubs)
 	}
 	if st.Timeouts != 0 {
 		t.Fatalf("timeouts=%d, want 0 (drops are detected by notification)", st.Timeouts)

@@ -289,8 +289,9 @@ func TestBroadcastSubmitAllocsPinned(t *testing.T) {
 	}
 }
 
-// FuzzReplicaFailover drives seeded crash schedules against the replicated
-// tier and asserts the two accounting identities: query conservation
+// FuzzReplicaFailover drives seeded crash schedules against the broadcast
+// tier's retry path (R=0) and the replicated tier's failover and hedging
+// (R=1..3), and asserts the two accounting identities: query conservation
 // (submitted = completed + lost + orphans, orphans 0 after drain — a
 // double-complete would push completed past submitted) and hedge
 // termination (hedges = wins + wasted).
@@ -298,9 +299,14 @@ func FuzzReplicaFailover(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(2), uint8(4), uint16(0x5a5a))
 	f.Add(int64(7), uint8(1), uint8(0), uint8(6), uint16(0xffff))
 	f.Add(int64(42), uint8(2), uint8(1), uint8(3), uint16(0x0001))
+	f.Add(int64(3), uint8(0), uint8(2), uint8(5), uint16(0x0f0f))
 	f.Fuzz(func(t *testing.T, seed int64, r, sel, nq uint8, crashBits uint16) {
-		R := 1 + int(r)%3 // 1..3 replicas
+		R := int(r) % 4 // 0 (broadcast) ..3 replicas
 		selection := SelectionPolicy(int(sel) % 3)
+		hedgeDelay := 0.5e-3
+		if R == 0 {
+			selection, hedgeDelay = SelPrimary, 0 // the broadcast tier has one candidate
+		}
 		n := 1 + int(nq)%6 // 1..6 queries
 		ft, err := fattree.New(fattree.DefaultConfig())
 		if err != nil {
@@ -318,7 +324,7 @@ func FuzzReplicaFailover(f *testing.F) {
 		cfg.Selection = selection
 		cfg.SubQueryTimeout = 5e-3
 		cfg.RetryBudget = int(crashBits % 4)
-		cfg.HedgeDelayS = 0.5e-3
+		cfg.HedgeDelayS = hedgeDelay
 		if cfg.Seed = seed; seed == 0 {
 			cfg.Seed = 1
 		}

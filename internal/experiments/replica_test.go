@@ -77,6 +77,17 @@ func TestReplicaSweepAcceptance(t *testing.T) {
 	}
 }
 
+// A non-positive replication factor would label a broadcast run with a
+// selection policy it never applies; the sweep rejects it before running.
+func TestReplicaSweepRejectsNonPositiveR(t *testing.T) {
+	for _, r := range []int{0, -1} {
+		if _, err := ReplicaSweep([]int{r, 3}, []cluster.SelectionPolicy{cluster.SelPowerOfTwo},
+			[]float64{0}, ReplicaConfig{DurationS: 0.1}); err == nil {
+			t.Fatalf("R=%d accepted", r)
+		}
+	}
+}
+
 // The replica sweep is deterministic and worker-invariant: per-cell derived
 // seeds make results identical for every worker count. The rows are
 // pinned to a golden file.

@@ -120,8 +120,15 @@ type ReplicaRow struct {
 // index while switches (including edge switches) crash and links flap. The
 // controller repairs routes and re-admits suspect replicas on repair
 // events; the consolidation planner is armed with the replica guard, so an
-// applied active set can never strand a partition.
+// applied active set can never strand a partition. Every replication
+// factor must be positive: the broadcast tier (R=0) has no selection
+// policy to sweep, and AvailabilitySweep covers it.
 func ReplicaSweep(replicas []int, selections []cluster.SelectionPolicy, failRates []float64, cfg ReplicaConfig) ([]ReplicaRow, error) {
+	for _, r := range replicas {
+		if r <= 0 {
+			return nil, fmt.Errorf("experiments: replication factor %d must be positive", r)
+		}
+	}
 	cfg.fill()
 	type cellKey struct {
 		r    int
