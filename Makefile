@@ -33,9 +33,10 @@
 #                     deterministic). Part of `make check`.
 #   make race       — just the race-detector subset, plus a race-enabled
 #                     Fig 10 smoke sweep with two concurrent cell workers
-#                     (netsweep) and a race-enabled replicated-tier smoke
-#                     sweep (joint -replicas 3, hedged selection) of the
-#                     parallel robustness cell runner.
+#                     (reproduce -fig 10) and a race-enabled replicated-tier
+#                     smoke sweep (reproduce -fig replica -replicas 3,
+#                     hedged selection) of the parallel robustness cell
+#                     runner.
 #   make fuzz-short — a bounded run of the native fuzz targets (surge
 #                     multiplier safety, admission hysteresis invariants,
 #                     broadcast retry and replica failover conservation
@@ -48,8 +49,8 @@
 #                     lengthens each target's budget.
 #   make twincheck  — validate the closed-form analytic twin against the
 #                     DES on the Fig 10 grid and the trained server table
-#                     (quick grid); fails when an in-domain cell breaks
-#                     the pinned error bands.
+#                     (reproduce -fig twincheck -quick); fails when an
+#                     in-domain cell breaks the pinned error bands.
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -87,8 +88,8 @@ test:
 
 race:
 	$(GO) test -race ./internal/parallel ./internal/core ./internal/sim ./internal/netsim ./internal/cluster ./internal/faults ./internal/controller ./internal/workload ./internal/experiments ./internal/metrics ./internal/topology ./internal/placement
-	$(GO) run -race ./cmd/netsweep -fig 10 -duration 0.2 -workers 2
-	$(GO) run -race ./cmd/joint -replicas 3 -selection hedged -faultrates 1 -faultdur 0.5
+	$(GO) run -race ./cmd/reproduce -out "" -fig 10 -duration 0.2 -workers 2
+	$(GO) run -race ./cmd/reproduce -out "" -fig replica -replicas 3 -selection hedged -faultrates 1 -duration 0.5
 
 # Each `go test -fuzz` invocation accepts exactly one target, so the
 # corpus-growing runs go one per line.
@@ -103,7 +104,7 @@ fuzz-short:
 	$(GO) test -run XXX -fuzz FuzzRunningQuantile -fuzztime $(FUZZTIME) ./internal/metrics
 
 twincheck:
-	$(GO) run ./cmd/joint -twincheck -quick
+	$(GO) run ./cmd/reproduce -out "" -fig twincheck -quick
 
 bench:
 	$(GO) test -run XXX -bench $(BENCH_PATTERN) -benchmem $(BENCH_PKGS)

@@ -13,7 +13,7 @@
 //
 // The sweep shapes are deliberately small (the benchmark configurations,
 // a few seconds of CPU) — this is a regression tripwire, not a paper
-// reproduction; use cmd/netsweep and cmd/joint for the full figures.
+// reproduction; use `reproduce -fig 10,11,13,15` for the full figures.
 package main
 
 import (

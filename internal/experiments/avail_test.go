@@ -47,13 +47,14 @@ func TestAvailabilitySweepNoOrphans(t *testing.T) {
 // simulation with derived seeds, so sequential and parallel sweeps must be
 // bit-identical — including the faulted cells (the fault schedule rides on
 // the per-cell seed, not on execution order). The rows are pinned to a
-// golden file.
+// golden file. In the rate-4 cell sub-queries drop and retries complete
+// queries, so the golden also pins the broadcast retry path.
 func TestAvailabilitySweepWorkerInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("packet-level sweep")
 	}
 	cfg := AvailabilityConfig{DurationS: 1, Seed: 3}
-	rates := []float64{0.5, 2}
+	rates := []float64{0.5, 2, 4}
 	cfg.Workers = 1
 	seq, err := AvailabilitySweep(rates, cfg)
 	if err != nil {
@@ -67,5 +68,23 @@ func TestAvailabilitySweepWorkerInvariance(t *testing.T) {
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatalf("sweep depends on worker count:\nseq: %+v\npar: %+v", seq, par)
 	}
+	if dense := seq[2]; dense.Retries == 0 || dense.DroppedSub == 0 {
+		t.Fatalf("rate-4 cell exercised no retry path: %+v", dense)
+	}
 	robustnessGolden(t, "availability.txt", seq)
+}
+
+func TestAvailabilityConfigRejectsNegative(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		cfg   AvailabilityConfig
+	}{
+		{"DurationS", AvailabilityConfig{DurationS: -1}},
+		{"QueryRate", AvailabilityConfig{QueryRate: -40}},
+		{"ScaleK", AvailabilityConfig{ScaleK: -1}},
+		{"RepairMeanS", AvailabilityConfig{RepairMeanS: -0.2}},
+	} {
+		_, err := AvailabilitySweep([]float64{0}, tc.cfg)
+		wantRejected(t, tc.field, err)
+	}
 }

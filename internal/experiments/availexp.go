@@ -44,22 +44,28 @@ type AvailabilityConfig struct {
 	Workers int
 }
 
-func (c *AvailabilityConfig) fill() {
-	if c.DurationS <= 0 {
+// fill resolves zero fields to their defaults and rejects negative ones.
+func (c *AvailabilityConfig) fill() error {
+	if err := nonNegative("AvailabilityConfig", field{"DurationS", c.DurationS}, field{"QueryRate", c.QueryRate},
+		field{"ScaleK", c.ScaleK}, field{"RepairMeanS", c.RepairMeanS}); err != nil {
+		return err
+	}
+	if c.DurationS == 0 {
 		c.DurationS = 5
 	}
-	if c.QueryRate <= 0 {
+	if c.QueryRate == 0 {
 		c.QueryRate = 40
 	}
-	if c.ScaleK <= 0 {
+	if c.ScaleK == 0 {
 		c.ScaleK = 1
 	}
-	if c.RepairMeanS <= 0 {
+	if c.RepairMeanS == 0 {
 		c.RepairMeanS = 0.2
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
+	return nil
 }
 
 // AvailabilityRow summarizes one fault-rate operating point.
@@ -106,7 +112,9 @@ type AvailabilityRow struct {
 // window the engine drains completely, so every submitted query terminates
 // as completed or lost; the runtime audit asserts Orphans is zero.
 func AvailabilitySweep(failRates []float64, cfg AvailabilityConfig) ([]AvailabilityRow, error) {
-	cfg.fill()
+	if err := cfg.fill(); err != nil {
+		return nil, err
+	}
 	// Optional flash crowd on top of the faults: a surge spanning the
 	// middle half of the run. An empty train multiplies by exactly 1, so
 	// the fault-only sweep is untouched.

@@ -1,5 +1,10 @@
 package experiments
 
+import (
+	"fmt"
+	"math"
+)
+
 // Shared recovery-knob defaults for the fault/overload/replica sweeps.
 //
 // Sweep configs are plain structs, so a zero field cannot distinguish
@@ -53,4 +58,22 @@ func resolveSubQueryTimeout(v float64) float64 {
 		return 0
 	}
 	return v
+}
+
+// field names one numeric config field for nonNegative.
+type field struct {
+	name string
+	v    float64
+}
+
+// nonNegative rejects the first negative (or NaN) field of a config. A
+// zero field means its default; a negative one is a mistake, and
+// replacing it with the default would hide the mistake.
+func nonNegative(config string, fields ...field) error {
+	for _, f := range fields {
+		if f.v < 0 || math.IsNaN(f.v) {
+			return fmt.Errorf("experiments: %s.%s = %g: want a positive value, or 0 for the default", config, f.name, f.v)
+		}
+	}
+	return nil
 }

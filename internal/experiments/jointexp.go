@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+	"strconv"
 	"time"
 
 	"eprons/internal/consolidate"
@@ -141,6 +143,32 @@ func Fig13JointPowerScaled(table *core.ServerPowerTable, bgUtils []float64, cons
 	})
 }
 
+// Fig13Tables renders one total-power table per background level: a row
+// per constraint, a column per aggregation level.
+func Fig13Tables(rows []Fig13Row, bgUtils, constraints []float64) []*Table {
+	var out []*Table
+	for _, bg := range bgUtils {
+		t := &Table{
+			Title:   fmt.Sprintf("Fig 13 — total system power at %s background traffic (30%% server utilization)", Pct(bg)),
+			Headers: []string{"constraint(ms)", "agg 0", "agg 1", "agg 2", "agg 3"},
+		}
+		for _, c := range constraints {
+			cells := []string{Ms(c), "—", "—", "—", "—"}
+			for _, r := range rows {
+				if r.BgUtil == bg && r.ConstraintS == c && r.Level >= 0 && r.Level < 4 {
+					cells[1+r.Level] = "infeasible"
+					if r.Feasible {
+						cells[1+r.Level] = W(r.TotalW)
+					}
+				}
+			}
+			t.AddRow(cells...)
+		}
+		out = append(out, t)
+	}
+	return out
+}
+
 // jointFlows builds the combined query + background demand set at a server
 // utilization and background fraction.
 func jointFlows(ft *fattree.FatTree, util, bg float64) []flow.Flow {
@@ -175,6 +203,19 @@ func Fig14Traces(n int) (times, search, bg []float64) {
 		bg = append(bg, bt.At(t))
 	}
 	return times, search, bg
+}
+
+// Fig14Table renders Fig14Traces samples with clock-time labels.
+func Fig14Table(times, search, bg []float64) *Table {
+	t := &Table{
+		Title:   "Fig 14 — diurnal traces",
+		Headers: []string{"time", "search load (% of peak)", "background (% of bandwidth)"},
+	}
+	for i := range times {
+		sec := int(times[i])
+		t.AddRow(fmt.Sprintf("%02d:%02d", sec/3600, sec%3600/60), Pct(search[i]), Pct(bg[i]))
+	}
+	return t
 }
 
 // Fig15Summary condenses the diurnal run into the paper's headline
@@ -234,6 +275,29 @@ func Fig15DiurnalWorkers(eprons, timetrader, maxfreq *core.ServerPowerTable, ste
 		ServerAvgTT:      core.AvgSaving(&res.TimeTrader.ServerW, &res.NoPM.ServerW),
 		NetAvgEPRONS:     core.AvgSaving(&res.EPRONS.NetW, &res.NoPM.NetW),
 	}, nil
+}
+
+// Fig15Tables renders the diurnal run: Fig 15(a), total power at hourly
+// rows of a replay at stepS seconds, and Fig 15(b), the savings against
+// no power management.
+func Fig15Tables(sum *Fig15Summary, stepS float64) []*Table {
+	res := sum.Result
+	a := &Table{
+		Title:   "Fig 15(a) — total system power over 24 h (hourly rows; simulation at the chosen step)",
+		Headers: []string{"hour", "search load", "background", "EPRONS (W)", "TimeTrader (W)", "no PM (W)", "EPRONS net (W)"},
+	}
+	perHour := max(int(3600/stepS), 1)
+	for i := 0; i < res.EPRONS.TotalW.Len(); i += perHour {
+		a.AddRow(fmt.Sprintf("%02d:00", int(res.Times[i]/3600)), Pct(res.SearchLoad[i]), Pct(res.BgLoad[i]),
+			W(res.EPRONS.TotalW.V[i]), W(res.TimeTrader.TotalW.V[i]), W(res.NoPM.TotalW.V[i]), W(res.EPRONS.NetW.V[i]))
+	}
+	b := &Table{
+		Title:   "Fig 15(b) — savings vs no power management (paper: EPRONS 25% avg / 31.25% peak; TimeTrader 8% avg / 12.5% peak)",
+		Headers: []string{"scheme", "total avg", "total peak", "server avg", "network avg"},
+	}
+	b.AddRow("EPRONS", Pct(sum.EPRONSAvgSaving), Pct(sum.EPRONSPeakSaving), Pct(sum.ServerAvgEPRONS), Pct(sum.NetAvgEPRONS))
+	b.AddRow("TimeTrader", Pct(sum.TTAvgSaving), Pct(sum.TTPeakSaving), Pct(sum.ServerAvgTT), Pct(0))
+	return []*Table{a, b}
 }
 
 // HeuristicVsExactRow compares the greedy consolidator against the MILP on
@@ -304,6 +368,24 @@ func AblationHeuristicVsExact(sizes []int, seed int64, maxNodes int) ([]Heuristi
 		out = append(out, row)
 	}
 	return out, nil
+}
+
+// AblationTable renders the greedy-vs-exact comparison. The two solver
+// times are wall-clock measurements, not simulation output.
+func AblationTable(rows []HeuristicVsExactRow) *Table {
+	t := &Table{
+		Title:   "Ablation — greedy heuristic vs exact MILP (eq. 2–9)",
+		Headers: []string{"flows", "greedy sw", "exact sw", "greedy", "exact"},
+	}
+	for _, r := range rows {
+		exact := strconv.Itoa(r.ExactSwitches)
+		if !r.ExactOptimal {
+			exact += " (node-limited)"
+		}
+		t.AddRow(strconv.Itoa(r.Flows), strconv.Itoa(r.GreedySwitches), exact,
+			r.GreedyDur.Round(time.Microsecond).String(), r.ExactDur.Round(time.Millisecond).String())
+	}
+	return t
 }
 
 // AblationAvgVsMax compares EPRONS's average-VP aggregation (with and

@@ -3,6 +3,9 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"sort"
+	"strconv"
+	"strings"
 
 	"eprons/internal/cluster"
 	"eprons/internal/consolidate"
@@ -77,6 +80,18 @@ func Fig01Knee(utils []float64, durationS float64, seed int64) ([]KneePoint, err
 	return out, nil
 }
 
+// Fig01Table renders the knee curve.
+func Fig01Table(pts []KneePoint) *Table {
+	t := &Table{
+		Title:   "Fig 1 — link utilization vs query network latency (single bottleneck)",
+		Headers: []string{"util", "mean(µs)", "p95(µs)", "p99(µs)"},
+	}
+	for _, p := range pts {
+		t.AddRow(Pct(p.Utilization), Us(p.MeanS), Us(p.P95S), Us(p.P99S))
+	}
+	return t
+}
+
 // Fig02Row describes one scale factor's placement in the Fig 2 demo.
 type Fig02Row struct {
 	K              float64
@@ -127,6 +142,40 @@ func Fig02ScaleDemo() ([]Fig02Row, *fattree.FatTree, map[float64]*consolidate.Re
 	return rows, ft, results, nil
 }
 
+// Fig02Table renders the scale-factor demo rows.
+func Fig02Table(rows []Fig02Row) *Table {
+	t := &Table{
+		Title:   "Fig 2 — scale factor K moves latency-sensitive flows off the elephant path",
+		Headers: []string{"K", "active switches", "flows sharing elephant links", "feasible"},
+	}
+	for _, r := range rows {
+		t.AddRow(F(r.K), strconv.Itoa(r.ActiveSwitches), strconv.Itoa(r.SharedWithBig), strconv.FormatBool(r.Feasible))
+	}
+	return t
+}
+
+// Fig02PathTable lists the switch path of every placed flow of one demo
+// result, in flow-ID order.
+func Fig02PathTable(ft *fattree.FatTree, res *consolidate.Result, k float64) *Table {
+	t := &Table{
+		Title:   fmt.Sprintf("Fig 2 — paths at K=%s", F(k)),
+		Headers: []string{"flow", "path"},
+	}
+	ids := make([]flow.ID, 0, len(res.Paths))
+	for id := range res.Paths {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	for _, id := range ids {
+		names := make([]string, len(res.Paths[id]))
+		for i, n := range res.Paths[id] {
+			names[i] = ft.Graph.Node(n).Name
+		}
+		t.AddRow(strconv.Itoa(int(id)), strings.Join(names, " → "))
+	}
+	return t
+}
+
 // Fig08Point is one switch power sample.
 type Fig08Point struct {
 	Utilization float64
@@ -170,6 +219,19 @@ func Fig09Policies() ([]Fig09Row, error) {
 		})
 	}
 	return out, nil
+}
+
+// Fig09Table renders the aggregation policies.
+func Fig09Table(rows []Fig09Row) *Table {
+	t := &Table{
+		Title:   "Fig 9 — aggregation policies of the 4-ary fat-tree",
+		Headers: []string{"level", "switches on", "links on", "network power (W)", "connected"},
+	}
+	for _, r := range rows {
+		t.AddRow(strconv.Itoa(r.Level), strconv.Itoa(r.ActiveSwitches), strconv.Itoa(r.ActiveLinks),
+			W(r.NetworkPowerW), strconv.FormatBool(r.Connected))
+	}
+	return t
 }
 
 // NetLatencyConfig drives the Fig 10 / Fig 11 network experiments.
@@ -221,20 +283,25 @@ type NetLatencyConfig struct {
 	ECMPQueries bool
 }
 
+// fill resolves zero fields to their defaults and rejects negative ones.
 func (c *NetLatencyConfig) fill() error {
 	if c.Shards != 0 && c.Shards != 1 {
 		return fmt.Errorf("experiments: NetLatencyConfig.Shards = %d: the sharded engine is retired; leave Shards at 0 or 1", c.Shards)
 	}
-	if c.DurationS <= 0 {
+	if err := nonNegative("NetLatencyConfig",
+		field{"DurationS", c.DurationS}, field{"QueryRate", c.QueryRate}, field{"QueryReserveBps", c.QueryReserveBps}); err != nil {
+		return err
+	}
+	if c.DurationS == 0 {
 		c.DurationS = 3
 	}
 	if c.K == 0 {
 		c.K = fattree.DefaultConfig().K
 	}
-	if c.QueryRate <= 0 {
+	if c.QueryRate == 0 {
 		c.QueryRate = 40
 	}
-	if c.QueryReserveBps <= 0 {
+	if c.QueryReserveBps == 0 {
 		c.QueryReserveBps = 10e6
 	}
 	if c.Seed == 0 {
@@ -473,6 +540,18 @@ func Fig10AggregationLatency(levels []int, bgUtils []float64, cfg NetLatencyConf
 	})
 }
 
+// Fig10Table renders the aggregation × background latency grid.
+func Fig10Table(rows []Fig10Row) *Table {
+	t := &Table{
+		Title:   "Fig 10 — query network latency vs aggregation policy and background traffic",
+		Headers: []string{"aggregation", "background", "mean(µs)", "p95(µs)", "p99(µs)"},
+	}
+	for _, r := range rows {
+		t.AddRow(strconv.Itoa(r.Level), Pct(r.BgUtil), Us(r.MeanS), Us(r.P95S), Us(r.P99S))
+	}
+	return t
+}
+
 // Fig11Row is one (K, background) operating point.
 type Fig11Row struct {
 	K              int
@@ -515,4 +594,16 @@ func Fig11ScaleFactor(ks []int, bgUtils []float64, cfg NetLatencyConfig) ([]Fig1
 			Feasible:       true,
 		}, nil
 	})
+}
+
+// Fig11Table renders the scale-factor trade-off grid.
+func Fig11Table(rows []Fig11Row) *Table {
+	t := &Table{
+		Title:   "Fig 11 — scale factor K vs network tail latency and active switches",
+		Headers: []string{"background", "K", "p95(µs)", "active switches", "feasible"},
+	}
+	for _, r := range rows {
+		t.AddRow(Pct(r.BgUtil), strconv.Itoa(r.K), Us(r.P95S), strconv.Itoa(r.ActiveSwitches), strconv.FormatBool(r.Feasible))
+	}
+	return t
 }

@@ -54,3 +54,25 @@ func TestShardsDeprecated(t *testing.T) {
 		t.Errorf("Shards=1 rows %+v differ from Shards=0 rows %+v", one, zero)
 	}
 }
+
+// wantRejected fails unless err rejects the named negative field.
+func wantRejected(t *testing.T, field string, err error) {
+	t.Helper()
+	if err == nil || !strings.Contains(err.Error(), "."+field+" = -") {
+		t.Errorf("negative %s: err = %v, want a rejection naming the field", field, err)
+	}
+}
+
+func TestNetLatencyConfigRejectsNegative(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		cfg   NetLatencyConfig
+	}{
+		{"DurationS", NetLatencyConfig{DurationS: -1}},
+		{"QueryRate", NetLatencyConfig{QueryRate: -40}},
+		{"QueryReserveBps", NetLatencyConfig{QueryReserveBps: -1e6}},
+	} {
+		_, err := Fig11ScaleFactor([]int{1}, []float64{0.2}, tc.cfg)
+		wantRejected(t, tc.field, err)
+	}
+}

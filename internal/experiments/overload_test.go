@@ -174,3 +174,18 @@ func TestOverloadFaultsCombinedStress(t *testing.T) {
 	}
 	robustnessGolden(t, "availability_surge.txt", rows)
 }
+
+func TestOverloadConfigRejectsNegative(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		cfg   OverloadConfig
+	}{
+		{"DurationS", OverloadConfig{DurationS: -1}},
+		{"BaseRate", OverloadConfig{BaseRate: -200}},
+		{"ScaleK", OverloadConfig{ScaleK: -1}},
+		{"TTPeriod", OverloadConfig{TTPeriod: -1}},
+	} {
+		_, err := OverloadSweep([]float64{1}, tc.cfg)
+		wantRejected(t, tc.field, err)
+	}
+}

@@ -52,25 +52,31 @@ type OverloadConfig struct {
 	Workers int
 }
 
-func (c *OverloadConfig) fill() {
-	if c.DurationS <= 0 {
+// fill resolves zero fields to their defaults and rejects negative ones.
+func (c *OverloadConfig) fill() error {
+	if err := nonNegative("OverloadConfig", field{"DurationS", c.DurationS}, field{"BaseRate", c.BaseRate},
+		field{"ScaleK", c.ScaleK}, field{"TTPeriod", c.TTPeriod}); err != nil {
+		return err
+	}
+	if c.DurationS == 0 {
 		c.DurationS = 2
 	}
-	if c.BaseRate <= 0 {
+	if c.BaseRate == 0 {
 		c.BaseRate = 200
 	}
 	if c.SurgeStartFrac <= 0 || c.SurgeStartFrac >= 1 {
 		c.SurgeStartFrac = 0.25
 	}
-	if c.ScaleK <= 0 {
+	if c.ScaleK == 0 {
 		c.ScaleK = 1
 	}
-	if c.TTPeriod <= 0 {
+	if c.TTPeriod == 0 {
 		c.TTPeriod = 1
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
+	return nil
 }
 
 // OverloadCell is one (multiplier, admission setting) simulation outcome.
@@ -135,7 +141,9 @@ type OverloadRow struct {
 // control plane's effect: bounded tail latency for admitted work at the
 // cost of an explicit shed rate, versus unbounded queue growth.
 func OverloadSweep(multipliers []float64, cfg OverloadConfig) ([]OverloadRow, error) {
-	cfg.fill()
+	if err := cfg.fill(); err != nil {
+		return nil, err
+	}
 	return parallel.Map(len(multipliers), cfg.Workers, func(i int) (OverloadRow, error) {
 		mult := multipliers[i]
 		if mult <= 0 || math.IsNaN(mult) || math.IsInf(mult, 0) {

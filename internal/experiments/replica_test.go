@@ -130,3 +130,18 @@ func TestDisabledSentinelExpressible(t *testing.T) {
 		t.Fatalf("%d orphans after drain", r.Orphans)
 	}
 }
+
+func TestReplicaConfigRejectsNegative(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		cfg   ReplicaConfig
+	}{
+		{"DurationS", ReplicaConfig{DurationS: -1}},
+		{"QueryRate", ReplicaConfig{QueryRate: -40}},
+		{"ScaleK", ReplicaConfig{ScaleK: -1}},
+		{"RepairMeanS", ReplicaConfig{RepairMeanS: -0.2}},
+	} {
+		_, err := ReplicaSweep([]int{1}, []cluster.SelectionPolicy{cluster.SelPrimary}, []float64{0}, tc.cfg)
+		wantRejected(t, tc.field, err)
+	}
+}

@@ -43,22 +43,28 @@ type ReplicaConfig struct {
 	Workers int
 }
 
-func (c *ReplicaConfig) fill() {
-	if c.DurationS <= 0 {
+// fill resolves zero fields to their defaults and rejects negative ones.
+func (c *ReplicaConfig) fill() error {
+	if err := nonNegative("ReplicaConfig", field{"DurationS", c.DurationS}, field{"QueryRate", c.QueryRate},
+		field{"ScaleK", c.ScaleK}, field{"RepairMeanS", c.RepairMeanS}); err != nil {
+		return err
+	}
+	if c.DurationS == 0 {
 		c.DurationS = 5
 	}
-	if c.QueryRate <= 0 {
+	if c.QueryRate == 0 {
 		c.QueryRate = 40
 	}
-	if c.ScaleK <= 0 {
+	if c.ScaleK == 0 {
 		c.ScaleK = 1
 	}
-	if c.RepairMeanS <= 0 {
+	if c.RepairMeanS == 0 {
 		c.RepairMeanS = 0.2
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
+	return nil
 }
 
 // ReplicaRow summarizes one (replication factor, selection policy, fault
@@ -129,7 +135,9 @@ func ReplicaSweep(replicas []int, selections []cluster.SelectionPolicy, failRate
 			return nil, fmt.Errorf("experiments: replication factor %d must be positive", r)
 		}
 	}
-	cfg.fill()
+	if err := cfg.fill(); err != nil {
+		return nil, err
+	}
 	type cellKey struct {
 		r    int
 		sel  cluster.SelectionPolicy

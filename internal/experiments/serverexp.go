@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"eprons/internal/dist"
 	"eprons/internal/dvfs"
@@ -220,6 +221,44 @@ func Fig12cEPRONSGrid(utils, constraints []float64, cfg ServerExpConfig) ([]Serv
 	})
 }
 
+// Fig12aTable renders the CPU power vs utilization sweep (30 ms total
+// constraint).
+func Fig12aTable(pts []ServerPoint) *Table {
+	t := &Table{
+		Title:   "Fig 12(a) — CPU power vs server utilization (30 ms constraint: 25 server + 5 network)",
+		Headers: []string{"policy", "utilization", "CPU power (W)", "SLA miss", "mean freq (GHz)"},
+	}
+	for _, p := range pts {
+		t.AddRow(string(p.Policy), Pct(p.Util), W(p.CPUPowerW), Pct(p.MissRate), F(p.MeanFreqGHz))
+	}
+	return t
+}
+
+// Fig12bTable renders the CPU power vs constraint sweep (30%
+// utilization).
+func Fig12bTable(pts []ServerPoint) *Table {
+	t := &Table{
+		Title:   "Fig 12(b) — CPU power vs request tail-latency constraint (30% utilization)",
+		Headers: []string{"policy", "constraint(ms)", "CPU power (W)", "SLA miss", "mean freq (GHz)"},
+	}
+	for _, p := range pts {
+		t.AddRow(string(p.Policy), Ms(p.ConstraintS), W(p.CPUPowerW), Pct(p.MissRate), F(p.MeanFreqGHz))
+	}
+	return t
+}
+
+// Fig12cTable renders the EPRONS-Server (utilization, constraint) grid.
+func Fig12cTable(pts []ServerPoint) *Table {
+	t := &Table{
+		Title:   "Fig 12(c) — EPRONS-Server CPU power across (utilization, constraint)",
+		Headers: []string{"utilization", "constraint(ms)", "CPU power (W)", "SLA miss"},
+	}
+	for _, p := range pts {
+		t.AddRow(Pct(p.Util), Ms(p.ConstraintS), W(p.CPUPowerW), Pct(p.MissRate))
+	}
+	return t
+}
+
 // Fig05Point samples the equivalent-request violation-probability curves
 // of paper Fig 5: P(work of the k-th equivalent request > ω(D)).
 type Fig05Point struct {
@@ -252,6 +291,18 @@ func Fig05EquivalentCCDF(omegas []float64) ([]Fig05Point, error) {
 		})
 	}
 	return out, nil
+}
+
+// Fig05Table renders the equivalent-request violation curves.
+func Fig05Table(pts []Fig05Point) *Table {
+	t := &Table{
+		Title:   "Fig 5 — violation probability of equivalent requests vs work bound ω(D)",
+		Headers: []string{"ω(D) (ms)", "VP(R1e)", "VP(R2e)", "VP(R3e)"},
+	}
+	for _, p := range pts {
+		t.AddRow(Ms(p.OmegaS), Pct(p.VPR1e), Pct(p.VPR2e), Pct(p.VPR3e))
+	}
+	return t
 }
 
 // Fig04Point is one violation-probability curve sample.
@@ -290,4 +341,16 @@ func Fig04ViolationCurves(deadline1, deadline2 float64) ([]Fig04Point, float64, 
 		}
 	}
 	return out, fMax, fAvg, nil
+}
+
+// Fig04Table renders the per-frequency violation curves.
+func Fig04Table(pts []Fig04Point) *Table {
+	t := &Table{
+		Title:   "Fig 4 — violation probability vs frequency (two queued requests)",
+		Headers: []string{"freq (GHz)", "VP(R1)", "VP(R2e)", "avg VP"},
+	}
+	for _, p := range pts {
+		t.AddRow(strconv.FormatFloat(p.FreqGHz, 'f', 1, 64), Pct(p.VPR1), Pct(p.VPR2e), Pct(p.AvgVP))
+	}
+	return t
 }

@@ -1,7 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (§V). Each Fig* function returns structured data; the cmd/
-// tools print it and bench_test.go reports it as benchmark metrics, so the
-// two surfaces always agree.
+// evaluation (§V). Each Fig* function returns structured data, and one
+// *Table function next to each row type renders it; cmd/reproduce prints
+// those tables and bench_test.go reports the data as benchmark metrics, so
+// the two surfaces always agree.
 package experiments
 
 import (
