@@ -358,7 +358,7 @@ var figures = []figure{
 		if err != nil {
 			return nil, err
 		}
-		return &output{tables: []*experiments.Table{experiments.AblationTable(rows)}}, nil
+		return &output{tables: []*experiments.Table{experiments.AblationTable(rows)}, note: experiments.AblationTimings(rows)}, nil
 	}},
 	{"availability", "availability", func(o *opts) (*output, error) {
 		rows, err := experiments.AvailabilitySweep(o.faultRates, experiments.AvailabilityConfig{
@@ -393,11 +393,12 @@ var figures = []figure{
 		if bgs == nil {
 			bgs = []float64{0.01, 0.20, 0.50}
 		}
-		t, _, err := experiments.TwinCapacityTable(o.twinK, bgs, 0.30)
+		t, timing, err := experiments.TwinCapacityTable(o.twinK, bgs, 0.30)
 		if err != nil {
 			return nil, err
 		}
-		return &output{tables: []*experiments.Table{t}, note: `error bands (validated against the DES on the k=4 Fig 10 grid, see -fig twincheck):
+		return &output{tables: []*experiments.Table{t}, note: timing + `
+error bands (validated against the DES on the k=4 Fig 10 grid, see -fig twincheck):
   network p95: twin within 0.6x relative error in-domain (consistently optimistic);
   server power: within 0.45x relative error (consistently conservative).
 rows marked CLAMPED are outside the validated domain — the bands do not apply there.`}, nil

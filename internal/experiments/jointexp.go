@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"strconv"
+	"strings"
 	"time"
 
 	"eprons/internal/consolidate"
@@ -370,22 +371,37 @@ func AblationHeuristicVsExact(sizes []int, seed int64, maxNodes int) ([]Heuristi
 	return out, nil
 }
 
-// AblationTable renders the greedy-vs-exact comparison. The two solver
-// times are wall-clock measurements, not simulation output.
+// AblationTable renders the greedy-vs-exact comparison. The solver times
+// are wall-clock measurements, not simulation output, so they stay out of
+// the table (see AblationTimings).
 func AblationTable(rows []HeuristicVsExactRow) *Table {
 	t := &Table{
 		Title:   "Ablation — greedy heuristic vs exact MILP (eq. 2–9)",
-		Headers: []string{"flows", "greedy sw", "exact sw", "greedy", "exact"},
+		Headers: []string{"flows", "greedy sw", "exact sw"},
 	}
 	for _, r := range rows {
 		exact := strconv.Itoa(r.ExactSwitches)
 		if !r.ExactOptimal {
 			exact += " (node-limited)"
 		}
-		t.AddRow(strconv.Itoa(r.Flows), strconv.Itoa(r.GreedySwitches), exact,
-			r.GreedyDur.Round(time.Microsecond).String(), r.ExactDur.Round(time.Millisecond).String())
+		t.AddRow(strconv.Itoa(r.Flows), strconv.Itoa(r.GreedySwitches), exact)
 	}
 	return t
+}
+
+// AblationTimings summarizes the two solvers' wall times over rows in one
+// line, for printing after AblationTable.
+func AblationTimings(rows []HeuristicVsExactRow) string {
+	var b strings.Builder
+	b.WriteString("solver wall time (greedy / exact):")
+	for i, r := range rows {
+		if i > 0 {
+			b.WriteString(";")
+		}
+		fmt.Fprintf(&b, " %d flows %v / %v", r.Flows,
+			r.GreedyDur.Round(time.Microsecond), r.ExactDur.Round(time.Millisecond))
+	}
+	return b.String()
 }
 
 // AblationAvgVsMax compares EPRONS's average-VP aggregation (with and

@@ -260,19 +260,21 @@ func TwinCheckTable(sum *TwinCheckSummary) *Table {
 
 // TwinCapacityTable answers a standalone what-if sweep on a k-ary fabric —
 // the -twin CLI mode. No topology graph is built, so k=74 (a 101,306-host
-// data center) answers in milliseconds; the per-query wall time is part of
-// the output. Total power scales the server term to every host.
-func TwinCapacityTable(k int, bgs []float64, util float64) (*Table, *twin.Model, error) {
+// data center) answers in milliseconds. Total power scales the server term
+// to every host. The table is deterministic; the queries' wall time, which
+// is not, comes back as a separate one-line summary.
+func TwinCapacityTable(k int, bgs []float64, util float64) (*Table, string, error) {
 	hosts := k * k * k / 4
 	tm, err := twin.New(twin.Config{FabricK: k, NumServers: hosts})
 	if err != nil {
-		return nil, nil, err
+		return nil, "", err
 	}
 	t := &Table{
 		Title: fmt.Sprintf("analytic twin — %d-host what-if (k=%d fat-tree, %s server utilization)",
 			hosts, k, Pct(util)),
-		Headers: []string{"agg level", "bg", "net p95(µs)", "switches", "net(kW)", "f(GHz)", "total(kW)", "domain", "query(µs)"},
+		Headers: []string{"agg level", "bg", "net p95(µs)", "switches", "net(kW)", "f(GHz)", "total(kW)", "domain"},
 	}
+	var total, slowest time.Duration
 	nl := tm.NumAggregationLevels()
 	levels := []int{0, nl / 4, nl / 2, nl - 1}
 	seen := map[int]bool{}
@@ -286,8 +288,10 @@ func TwinCapacityTable(k int, bgs []float64, util float64) (*Table, *twin.Model,
 			est, err := tm.WhatIf(twin.Query{AggLevel: level, BgUtil: bg, ServerUtil: util})
 			dur := time.Since(t0)
 			if err != nil {
-				return nil, nil, err
+				return nil, "", err
 			}
+			total += dur
+			slowest = max(slowest, dur)
 			domain := "ok"
 			if est.Clamped {
 				domain = "CLAMPED"
@@ -303,11 +307,12 @@ func TwinCapacityTable(k int, bgs []float64, util float64) (*Table, *twin.Model,
 				fmt.Sprintf("%.2f", est.FreqGHz),
 				fmt.Sprintf("%.1f", est.TotalPowerW/1e3),
 				domain,
-				fmt.Sprintf("%.0f", float64(dur.Microseconds())),
 			)
 		}
 	}
-	return t, tm, nil
+	timing := fmt.Sprintf("twin query wall time: %d queries, mean %d µs, max %d µs",
+		len(t.Rows), (total / time.Duration(max(len(t.Rows), 1))).Microseconds(), slowest.Microseconds())
+	return t, timing, nil
 }
 
 // TwinPlanResult is one twin-driven planning run: the closed-form K

@@ -199,16 +199,7 @@ func (n *Network) addFluidSource(b *Background, fid flow.ID, rate func() float64
 		if b.stop || s.fluid {
 			return
 		}
-		if rt, ok := n.lookupRoute(s.fid); ok {
-			pk := n.acquirePacket()
-			pk.fid = s.fid
-			pk.rt = rt
-			pk.bytes = int32(n.Cfg.PacketBytes)
-			pk.hop = 0
-			pk.hi = n.highPrio[s.fid]
-			pk.msg = nil
-			n.stepPacket(pk)
-		}
+		n.launchBackground(s.fid)
 		s.arm()
 	}
 	n.fluid.srcs = append(n.fluid.srcs, s)

@@ -269,7 +269,8 @@ func TestLinkFIFODeepQueue(t *testing.T) {
 // TestDepartureQueueBypass drives the departure queue's defensive branch
 // directly: a departure earlier than the queue's tail (which positive
 // transmission times rule out) must bypass the queue into the heap, fire
-// at its own time, and leave the queued packets' order intact.
+// at its own time, and leave the queued packets' order intact. A recording
+// handler registered as the network's step kind sees every firing.
 func TestDepartureQueueBypass(t *testing.T) {
 	g, h0, _ := line(t)
 	eng := sim.New()
@@ -281,30 +282,30 @@ func TestDepartureQueueBypass(t *testing.T) {
 	sid, li := rt.SegAt(0)
 	ls := &n.links[n.arena.Seg(sid).Hops[li].Dir]
 	var got []float64
-	var pks []*packet
+	n.stepKind = eng.Handle(func(i int32) {
+		got = append(got, eng.Now())
+		n.stepPacket(i)
+	})
+	var pks []int32
 	for _, at := range []float64{5, 3, 6, 6} {
-		pk := n.acquirePacket()
-		pks = append(pks, pk)
+		i := n.acquirePacket()
+		pks = append(pks, i)
+		pk := n.pkt(i)
 		pk.fid, pk.rt, pk.bytes, pk.hop = 1, rt, 1500, 1 // just crossed hop 0
-		step := pk.step
-		pk.step = func() {
-			got = append(got, eng.Now())
-			step()
-		}
-		n.enqueueDeparture(ls, pk, at)
+		n.enqueueDeparture(ls, i, pk, at)
 	}
 	if eng.Len() != 2 {
 		t.Fatalf("%d engine events, want the queue head and the bypassing packet", eng.Len())
 	}
 	eng.Run(4)
 	if len(got) != 1 || ls.qHead != pks[0] || ls.qTail != pks[3] {
-		t.Fatalf("after the bypassing packet fired at %v: queue head %p tail %p, want %p and %p", got, ls.qHead, ls.qTail, pks[0], pks[3])
+		t.Fatalf("after the bypassing packet fired at %v: queue head %d tail %d, want %d and %d", got, ls.qHead, ls.qTail, pks[0], pks[3])
 	}
 	eng.RunAll()
 	if want := []float64{3, 5, 6, 6}; !slices.Equal(got, want) {
 		t.Fatalf("fired at %v, want %v", got, want)
 	}
-	if eng.Len() != 0 || ls.qHead != nil || ls.qTail != nil {
-		t.Fatalf("after drain: %d events live, queue head %p tail %p", eng.Len(), ls.qHead, ls.qTail)
+	if eng.Len() != 0 || ls.qHead != 0 || ls.qTail != 0 {
+		t.Fatalf("after drain: %d events live, queue head %d tail %d", eng.Len(), ls.qHead, ls.qTail)
 	}
 }

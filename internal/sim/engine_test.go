@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestRunOrdersByTime(t *testing.T) {
@@ -198,5 +199,46 @@ func TestQuickCancelConsistency(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEntrySizes pins the scheduler's per-event footprint: typed events
+// carry their kind in the slot's padding and their arg in the heap
+// entry's, so neither grows.
+func TestEntrySizes(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 16 {
+		t.Errorf("event slot is %d bytes, want 16", got)
+	}
+	if got := unsafe.Sizeof(heapEntry{}); got != 24 {
+		t.Errorf("heap entry is %d bytes, want 24", got)
+	}
+}
+
+// TestTypedEventPanics: filing a typed event under a kind no handler was
+// registered for panics, as does registering a nil handler.
+func TestTypedEventPanics(t *testing.T) {
+	cases := []struct {
+		name string
+		run  func(e *Engine)
+	}{
+		{"zero kind", func(e *Engine) { e.AfterKind(1, 0, 7) }},
+		{"unregistered kind", func(e *Engine) {
+			k := e.Handle(func(int32) {})
+			e.AfterKind(1, k+1, 7)
+		}},
+		{"unregistered kind under a reserved seq", func(e *Engine) {
+			e.ScheduleKindSeq(1, e.ReserveSeq(), 1, 7)
+		}},
+		{"nil handler", func(e *Engine) { e.Handle(nil) }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("expected panic")
+				}
+			}()
+			c.run(New())
+		})
 	}
 }
