@@ -3,8 +3,10 @@ package sim
 // A retained reference implementation of the pre-overhaul scheduler —
 // container/heap over boxed *refEvent entries plus a pending map — used
 // only by tests to pin the pop-order contract of the 4-ary arena heap:
-// for any interleaving of Schedule/ReserveSeq/ScheduleSeq/Cancel/Run, both
-// schedulers must fire the exact same (time, seq) sequence.
+// for any interleaving of Schedule/ReserveSeq/Cancel/Run, with the arena's
+// typed events filed here as closures (ScheduleSeq stands in for
+// ScheduleKindSeq), both schedulers must fire the exact same (time, seq)
+// sequence.
 
 import "container/heap"
 
