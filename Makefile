@@ -45,7 +45,10 @@
 #                     monotonicity, route-segment intern/materialize
 #                     equivalence, consolidation kernel
 #                     vs its frozen node-path reference, running hedge
-#                     quantile vs the exact tracker); FUZZTIME=30s
+#                     quantile vs the exact tracker, event-heap pop order
+#                     and Cancel results vs the reference heap under
+#                     random programs with handler-side cancels, Stop and
+#                     audits); FUZZTIME=30s
 #                     lengthens each target's budget.
 #   make twincheck  — validate the closed-form analytic twin against the
 #                     DES on the Fig 10 grid and the trained server table
@@ -102,6 +105,7 @@ fuzz-short:
 	$(GO) test -run XXX -fuzz FuzzRouteIntern -fuzztime $(FUZZTIME) ./internal/fattree
 	$(GO) test -run XXX -fuzz FuzzConsolidateKernel -fuzztime $(FUZZTIME) ./internal/consolidate
 	$(GO) test -run XXX -fuzz FuzzRunningQuantile -fuzztime $(FUZZTIME) ./internal/metrics
+	$(GO) test -run XXX -fuzz FuzzPopOrder -fuzztime $(FUZZTIME) ./internal/sim
 
 twincheck:
 	$(GO) run ./cmd/reproduce -out "" -fig twincheck -quick

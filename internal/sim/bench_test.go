@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // BenchmarkEngineScheduleRun measures the event hot path: schedule 100k
 // events (every 4th cancelled), then drain. The engine is reused across
@@ -83,5 +86,37 @@ func BenchmarkEngineAfterChain(b *testing.B) {
 		}
 	}
 	e.After(1e-6, tick)
+	e.RunAll()
+}
+
+// BenchmarkEngineHold measures the packet plane's steady state with the
+// classic hold model: 300 live typed events, each of whose firings files
+// one successor at an exponential delay, so every op is one pop and one
+// push on a heap of constant size. The delays are drawn, the heap filled
+// and a warm-up of ten firings per event run before the timer starts.
+func BenchmarkEngineHold(b *testing.B) {
+	const live = 300
+	r := rand.New(rand.NewSource(1))
+	delays := make([]float64, 1<<12)
+	for i := range delays {
+		delays[i] = r.ExpFloat64() * 1e-6
+	}
+	e := New()
+	var kind Kind
+	fired, stopAt := 0, 10*live
+	kind = e.Handle(func(arg int32) {
+		fired++
+		e.AfterKind(delays[fired&(len(delays)-1)], kind, arg)
+		if fired == stopAt {
+			e.Stop()
+		}
+	})
+	for i := 0; i < live; i++ {
+		e.AfterKind(delays[i], kind, int32(i))
+	}
+	e.RunAll()
+	b.ReportAllocs()
+	b.ResetTimer()
+	stopAt = fired + b.N
 	e.RunAll()
 }

@@ -12,18 +12,25 @@
 //
 //   - Events live in a slot arena recycled through a free list, so
 //     steady-state scheduling allocates nothing.
-//   - The priority queue is a concrete 4-ary array heap of small inline
-//     entries (time, seq, slot) ordered by (time, seq) — no interfaces, no
+//   - The priority queue is a 4-ary array heap of small inline entries
+//     (key, seq, slot) ordered by (time, seq) — no interfaces, no
 //     container/heap boxing, and a shallower tree than a binary heap. The
 //     (time, seq) order is a strict total order (seq is unique), so pop
 //     order is independent of heap arity: this is the pop-order contract
 //     that keeps figure outputs bit-identical across scheduler rewrites.
-//   - Both the heap and the arena are paged (fixed 4096-entry pages behind
-//     a tiny index table) instead of flat slices: growing to a peak of N
-//     entries allocates exactly N entries' worth of pages, where a
-//     reallocating slice pays ~2× N in cumulative copy churn — material
-//     when overloaded large-fabric runs hold >10⁶ in-flight events. Pages
-//     are never freed; the high-water mark is the working set.
+//   - The key is math.Float64bits(time), which orders like the time for
+//     every time ≥ +0 (scheduling rejects NaN and maps −0 to +0), so
+//     (key, seq) compares as one 128-bit unsigned number: the borrow out
+//     of two bits.Sub64, no branch. Sift-down loads a node's four
+//     children and picks the least by a branch-free tournament, pair
+//     (0,1), pair (2,3), then the winners; three greatest-key sentinels
+//     past the end of the heap keep every child group whole.
+//   - Pop and push are fused: a fired event's entry stays at the root
+//     while its handler runs, and the handler's first Schedule takes its
+//     place and sifts down, so the common hop costs one sift. Otherwise
+//     the root goes before the next pop, by the same sift-down of the
+//     last leaf.
+//   - Heap and arena are flat slices that grow by doubling.
 //   - EventID encodes (slot, generation) directly; Cancel resolves the
 //     handle with two array reads and no map. Each slot's generation bumps
 //     on every release, so stale IDs (already fired, already cancelled, or
@@ -49,6 +56,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"eprons/internal/xslice"
 )
@@ -81,54 +89,44 @@ type event struct {
 	kind  Kind
 }
 
-// heapEntry is one 4-ary heap element: the full ordering key plus the arena
-// slot it resolves to. Keeping the key inline makes sift comparisons a
-// straight array scan with no indirection. arg is a typed event's handler
-// argument; it fills what would otherwise be padding.
+// heapEntry is one 4-ary heap element: the full ordering key (tk is
+// math.Float64bits of the time) plus the arena slot it resolves to. arg is
+// a typed event's handler argument; it fills what would otherwise be
+// padding.
 type heapEntry struct {
-	time float64
-	seq  int64
+	tk   uint64
+	seq  uint64
 	slot int32
 	arg  int32
 }
 
-// Paged-storage geometry: index i lives at page i>>pageShift, offset
-// i&pageMask. 4096 entries keep a page at ~96 KB (heap) / ~64 KB (arena).
-const (
-	pageShift = 12
-	pageSize  = 1 << pageShift
-	pageMask  = pageSize - 1
-)
+// tail fills the tailLen entries past the heap's end. Its key is above
+// every real one (+Inf is 0x7ff0…), so it never wins a tournament.
+var tail = heapEntry{tk: math.MaxUint64, seq: math.MaxUint64}
+
+const tailLen = 3
 
 // Engine is a single-threaded discrete-event scheduler. The zero value is
 // ready to use with the clock at t=0.
 type Engine struct {
-	// heap/hn and events/nslots are the paged 4-ary heap and the paged
-	// slot arena (see the package comment); hn and nslots are their
-	// logical lengths.
-	heap   [][]heapEntry
+	// heap holds the hn heap entries, then tailLen sentinels (nil until
+	// the first Schedule). free recycles slots of the events arena.
+	heap   []heapEntry
 	hn     int
-	events [][]event
-	nslots int
-	// free recycles arena slots. Its length is bounded by the high-water
-	// mark of the queue depth.
-	free []int32
-	// handlers holds the typed-event handlers; Kind k dispatches to
-	// handlers[k-1].
+	events []event
+	free   []int32
+	// handlers[k-1] runs the typed events of Kind k.
 	handlers []func(int32)
 	now      float64
 	seq      int64
 	live     int
 	stopped  bool
+	// dead marks heap[0] as a fired event's entry, left for the handler's
+	// first Schedule to take over (the fused pop-and-push).
+	dead bool
 	// Processed counts events executed so far (skipping cancelled ones).
 	Processed int64
 }
-
-// hat resolves heap index i to its entry.
-func (e *Engine) hat(i int) *heapEntry { return &e.heap[i>>pageShift][i&pageMask] }
-
-// eat resolves an arena slot to its event.
-func (e *Engine) eat(slot int32) *event { return &e.events[slot>>pageShift][slot&pageMask] }
 
 // New returns an engine with the clock at t=0.
 func New() *Engine { return &Engine{} }
@@ -141,23 +139,29 @@ func (e *Engine) Now() float64 { return e.now }
 // caller holds outside the heap under a reserved seq (see ReserveSeq).
 func (e *Engine) Len() int { return e.live }
 
-// less orders heap entries by (time, seq): earlier time first, scheduling
-// order among ties. seq is unique, so this is a strict total order.
-func less(a, b heapEntry) bool {
-	if a.time != b.time {
-		return a.time < b.time
-	}
-	return a.seq < b.seq
+// before returns 1 if key (at, as) orders before (bt, bs), else 0: the
+// borrow out of the 128-bit subtraction at:as − bt:bs.
+func before(at, as, bt, bs uint64) uint64 {
+	_, b := bits.Sub64(as, bs, 0)
+	_, b = bits.Sub64(at, bt, b)
+	return b
 }
 
+// pick returns x if c is 0 and y if c is 1, without a branch.
+func pick(c, x, y uint64) uint64 { return x ^ (x^y)&-c }
+
+// less orders heap entries by (time, seq).
+func less(a, b heapEntry) bool { return before(a.tk, a.seq, b.tk, b.seq) != 0 }
+
 // Schedule registers fn to run at absolute time at. Scheduling in the past
-// panics: it always indicates a modelling bug, and silently reordering time
-// would corrupt every downstream measurement.
+// or at NaN panics: it always indicates a modelling bug, and silently
+// reordering time would corrupt every downstream measurement. −0 is filed
+// as +0.
 //
 // The dominant "at = now+delta, never cancelled" case costs one free-list
-// pop, one heap append and a sift-up that usually terminates after a single
-// comparison — no map writes and, once the arena matches the peak queue
-// depth, no allocations.
+// pop and a heap append whose sift-up usually stops after one comparison,
+// or, as a handler's first schedule, one sift-down from the fired root; no
+// map writes and, once the arena matches the peak depth, no allocations.
 func (e *Engine) Schedule(at float64, fn func()) EventID {
 	e.seq++
 	return e.scheduleSeq(at, e.seq, fn, 0, 0)
@@ -203,8 +207,8 @@ func (e *Engine) AfterKind(d float64, kind Kind, arg int32) EventID {
 // drawn with ReserveSeq: kind's handler runs with arg at time at. Each
 // reserved seq must be scheduled at most once. The caller keeps the
 // pop-order contract: while the event is held outside the heap, some event
-// ordered no later than it must be in the heap. Scheduling in the past, or
-// under a seq the engine never issued, panics.
+// ordered no later than it must be in the heap. Scheduling in the past or
+// at NaN, or under a seq the engine never issued, panics.
 func (e *Engine) ScheduleKindSeq(at float64, seq int64, kind Kind, arg int32) EventID {
 	if seq < 1 || seq > e.seq {
 		panic(fmt.Sprintf("sim: schedule under seq %d, never reserved (last issued %d)", seq, e.seq))
@@ -222,7 +226,7 @@ func (e *Engine) checkKind(kind Kind) {
 // scheduleSeq is the shared body of every scheduling call: fn for a plain
 // event, or a nonzero kind and its arg for a typed one.
 func (e *Engine) scheduleSeq(at float64, seq int64, fn func(), kind Kind, arg int32) EventID {
-	if at < e.now {
+	if !(at >= e.now) { // also catches NaN
 		panic(fmt.Sprintf("sim: schedule at %g before now %g", at, e.now))
 	}
 	var slot int32
@@ -230,19 +234,22 @@ func (e *Engine) scheduleSeq(at float64, seq int64, fn func(), kind Kind, arg in
 		slot = e.free[n-1]
 		e.free = e.free[:n-1]
 	} else {
-		if e.nslots&pageMask == 0 && e.nslots>>pageShift == len(e.events) {
-			e.events = append(e.events, make([]event, pageSize))
-		}
-		slot = int32(e.nslots)
-		e.nslots++
-		e.eat(slot).gen = 1
+		slot = int32(len(e.events))
+		e.events = append(xslice.GrowDoubling(e.events), event{gen: 1})
 	}
-	ev := e.eat(slot)
+	ev := &e.events[slot]
 	ev.fn = fn
 	ev.kind = kind
 	ev.state = stateLive
 	e.live++
-	e.siftUp(heapEntry{time: at, seq: seq, slot: slot, arg: arg})
+	// The clock is never below +0, so clearing the sign bit maps −0 to +0.
+	x := heapEntry{tk: math.Float64bits(at) &^ (1 << 63), seq: uint64(seq), slot: slot, arg: arg}
+	if e.dead {
+		e.dead = false
+		e.siftDown(x)
+	} else {
+		e.siftUp(x)
+	}
 	return EventID(int64(ev.gen)<<32 | int64(slot))
 }
 
@@ -258,10 +265,10 @@ func (e *Engine) After(d float64, fn func()) EventID {
 func (e *Engine) Cancel(id EventID) bool {
 	slot := int64(id) & 0xffffffff
 	gen := uint32(uint64(id) >> 32)
-	if slot >= int64(e.nslots) {
+	if slot >= int64(len(e.events)) {
 		return false
 	}
-	ev := e.eat(int32(slot))
+	ev := &e.events[slot]
 	if ev.gen != gen || ev.state != stateLive {
 		return false
 	}
@@ -276,7 +283,7 @@ func (e *Engine) Cancel(id EventID) bool {
 // release returns an arena slot to the free list and invalidates every
 // outstanding EventID that pointed at it.
 func (e *Engine) release(slot int32) {
-	ev := e.eat(slot)
+	ev := &e.events[slot]
 	ev.fn = nil
 	ev.kind = 0
 	ev.gen++
@@ -301,18 +308,20 @@ func (e *Engine) Run(until float64) {
 // for closed simulations that schedule a bounded number of events.
 func (e *Engine) RunAll() { e.drain(math.Inf(1)) }
 
-// drain is the event loop of Run and RunAll: pop, skip a cancelled slot,
-// else release the slot (the event may Schedule and reuse it) and run the
-// callback of a plain event or its kind's handler with the entry's arg.
+// drain is the event loop of Run and RunAll: settle the last root, skip a
+// cancelled slot, else release the slot (the event may reuse it) and run
+// the plain callback or the kind's handler with the entry's arg while the
+// root is dead. After a handler panics, the next Schedule or Run settles.
 func (e *Engine) drain(until float64) {
 	e.stopped = false
-	for e.hn > 0 && !e.stopped {
-		top := *e.hat(0)
-		if top.time > until {
+	for !e.stopped {
+		e.settle()
+		if e.hn == 0 || math.Float64frombits(e.heap[0].tk) > until {
 			break
 		}
-		e.popRoot()
-		ev := e.eat(top.slot)
+		top := e.heap[0]
+		e.dead = true
+		ev := &e.events[top.slot]
 		if ev.state == stateCancelled {
 			e.release(top.slot)
 			continue
@@ -320,13 +329,30 @@ func (e *Engine) drain(until float64) {
 		fn, kind := ev.fn, ev.kind
 		e.release(top.slot)
 		e.live--
-		e.now = top.time
+		e.now = math.Float64frombits(top.tk)
 		e.Processed++
 		if kind != 0 {
 			e.handlers[kind-1](top.arg)
 		} else {
 			fn()
 		}
+	}
+	e.settle()
+}
+
+// settle removes a dead root: the last leaf sifts down from the root.
+func (e *Engine) settle() {
+	if !e.dead {
+		return
+	}
+	e.dead = false
+	e.hn--
+	n := e.hn
+	x := e.heap[n]
+	e.heap[n] = tail
+	e.heap = e.heap[:n+tailLen]
+	if n > 0 {
+		e.siftDown(x)
 	}
 }
 
@@ -341,14 +367,16 @@ func (e *Engine) drain(until float64) {
 //   - the heap cannot be smaller than the number of occupied slots (a
 //     lazily-cancelled slot keeps its entry until popped);
 //   - every live slot holds exactly one of a callback and a registered
-//     handler kind (typed events count as live like any other).
+//     handler kind (typed events count as live like any other);
+//   - every entry orders no earlier than its parent, no key is NaN or −0,
+//     and the tailLen sentinels follow the last entry.
 //
-// It is read-only and O(heap + arena); audit runs call it at drain points,
-// not per event.
+// Inside a handler the fired event's dead root is not counted, so the
+// answer is the one a call between events would give. It is read-only and
+// O(heap + arena); audit runs call it at drain points, not per event.
 func (e *Engine) AuditInvariants() error {
 	live, cancelled := 0, 0
-	for slot := int32(0); slot < int32(e.nslots); slot++ {
-		ev := e.eat(slot)
+	for slot, ev := range e.events {
 		switch ev.state {
 		case stateLive:
 			live++
@@ -362,16 +390,28 @@ func (e *Engine) AuditInvariants() error {
 	if live != e.live {
 		return fmt.Errorf("sim: Len() reports %d live events, arena holds %d", e.live, live)
 	}
-	if occupied := live + cancelled; e.hn != occupied {
-		return fmt.Errorf("sim: heap holds %d entries, arena holds %d occupied slots", e.hn, occupied)
+	first := 0
+	if e.dead {
+		first = 1
+	}
+	if occupied := live + cancelled; e.hn-first != occupied {
+		return fmt.Errorf("sim: heap holds %d entries, arena holds %d occupied slots", e.hn-first, occupied)
 	}
 	seen := make(map[int32]bool, e.hn)
-	for i := 0; i < e.hn; i++ {
-		h := *e.hat(i)
-		if h.slot < 0 || int(h.slot) >= e.nslots {
-			return fmt.Errorf("sim: heap entry references slot %d outside arena of %d", h.slot, e.nslots)
+	for i, h := range e.heap[:e.hn] {
+		if h.tk > math.Float64bits(math.Inf(1)) {
+			return fmt.Errorf("sim: heap entry %d has key %#x, a NaN or negative time", i, h.tk)
 		}
-		if e.eat(h.slot).state == stateFree {
+		if i > 0 && less(h, e.heap[(i-1)>>2]) {
+			return fmt.Errorf("sim: heap entry %d orders before its parent %d", i, (i-1)>>2)
+		}
+		if i < first {
+			continue
+		}
+		if h.slot < 0 || int(h.slot) >= len(e.events) {
+			return fmt.Errorf("sim: heap entry references slot %d outside arena of %d", h.slot, len(e.events))
+		}
+		if e.events[h.slot].state == stateFree {
 			return fmt.Errorf("sim: heap entry references free slot %d", h.slot)
 		}
 		if seen[h.slot] {
@@ -379,60 +419,60 @@ func (e *Engine) AuditInvariants() error {
 		}
 		seen[h.slot] = true
 	}
+	if t := e.heap[e.hn:]; len(e.heap) > 0 && (len(t) != tailLen || t[0] != tail || t[1] != tail || t[2] != tail) {
+		return fmt.Errorf("sim: the heap's %d entries are not followed by %d sentinels", e.hn, tailLen)
+	}
 	return nil
 }
 
-// siftUp appends entry at the bottom of the 4-ary heap and bubbles it up.
-// An entry scheduled later than everything on its root path — the common
+// siftUp appends x at the bottom of the 4-ary heap and bubbles it up. An
+// entry scheduled later than everything on its root path — the common
 // now+delta case — exits after the first comparison.
-func (e *Engine) siftUp(entry heapEntry) {
-	i := e.hn
-	if i&pageMask == 0 && i>>pageShift == len(e.heap) {
-		e.heap = append(e.heap, make([]heapEntry, pageSize))
+func (e *Engine) siftUp(x heapEntry) {
+	if len(e.heap) == 0 {
+		e.heap = append(e.heap, tail, tail, tail)
 	}
+	e.heap = append(xslice.GrowDoubling(e.heap), tail)
+	h, i := e.heap, e.hn
 	e.hn++
 	for i > 0 {
-		parent := (i - 1) >> 2
-		p := *e.hat(parent)
-		if !less(entry, p) {
+		p := (i - 1) >> 2
+		if !less(x, h[p]) {
 			break
 		}
-		*e.hat(i) = p
-		i = parent
+		h[i] = h[p]
+		i = p
 	}
-	*e.hat(i) = entry
+	h[i] = x
 }
 
-// popRoot removes the minimum entry, moving the last leaf to the root and
-// sifting it down. Children of i are 4i+1 .. 4i+4.
-func (e *Engine) popRoot() {
-	n := e.hn - 1
-	last := *e.hat(n)
-	e.hn = n
-	if n == 0 {
-		return
-	}
-	i := 0
+// siftDown puts x at the root in place of the entry there and sifts it
+// down. At each level all four children of i (4i+1 .. 4i+4) are loaded,
+// the least wins a branch-free tournament, and it moves up while it orders
+// before x.
+func (e *Engine) siftDown(x heapEntry) {
+	h, n, i := e.heap, e.hn, 0
 	for {
 		c := i<<2 + 1
 		if c >= n {
 			break
 		}
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		min, minE := c, *e.hat(c)
-		for j := c + 1; j < end; j++ {
-			if ej := *e.hat(j); less(ej, minE) {
-				min, minE = j, ej
-			}
-		}
-		if !less(minE, last) {
+		g := h[c : c+4 : c+4]
+		t0, s0 := g[0].tk, g[0].seq
+		t1, s1 := g[1].tk, g[1].seq
+		t2, s2 := g[2].tk, g[2].seq
+		t3, s3 := g[3].tk, g[3].seq
+		a := before(t1, s1, t0, s0)
+		b := before(t3, s3, t2, s2)
+		ta, sa := pick(a, t0, t1), pick(a, s0, s1)
+		tb, sb := pick(b, t2, t3), pick(b, s2, s3)
+		w := before(tb, sb, ta, sa)
+		if before(pick(w, ta, tb), pick(w, sa, sb), x.tk, x.seq) == 0 {
 			break
 		}
-		*e.hat(i) = minE
-		i = min
+		m := c + int(pick(w, a, 2+b))
+		h[i] = h[m]
+		i = m
 	}
-	*e.hat(i) = last
+	h[i] = x
 }

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -240,5 +242,144 @@ func TestTypedEventPanics(t *testing.T) {
 			}()
 			c.run(New())
 		})
+	}
+}
+
+// TestNaNTimePanics: a NaN time passes an "at < now" check, so every entry
+// point that takes a time must reject it explicitly, as it rejects the
+// past.
+func TestNaNTimePanics(t *testing.T) {
+	nan := math.NaN()
+	cases := []struct {
+		name string
+		run  func(e *Engine, k Kind)
+	}{
+		{"Schedule", func(e *Engine, k Kind) { e.Schedule(nan, func() {}) }},
+		{"AfterKind", func(e *Engine, k Kind) { e.AfterKind(nan, k, 0) }},
+		{"ScheduleKindSeq", func(e *Engine, k Kind) { e.ScheduleKindSeq(nan, e.ReserveSeq(), k, 0) }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("expected panic scheduling at NaN")
+				}
+			}()
+			e := New()
+			c.run(e, e.Handle(func(int32) {}))
+		})
+	}
+}
+
+// TestNegativeZeroFiresAsZero: −0 equals +0 but its bit pattern would
+// sort after +Inf, so it must be filed as +0 and fire in seq order among
+// events at +0.
+func TestNegativeZeroFiresAsZero(t *testing.T) {
+	e := New()
+	var got []int
+	var clocks []float64
+	kind := e.Handle(func(arg int32) { got = append(got, int(arg)); clocks = append(clocks, e.Now()) })
+	negZero := math.Copysign(0, -1)
+	e.Schedule(math.Inf(1), func() { got = append(got, 99) })
+	for i := 0; i < 6; i++ {
+		switch i % 3 {
+		case 0:
+			i := i
+			e.Schedule(negZero, func() { got = append(got, i); clocks = append(clocks, e.Now()) })
+		case 1:
+			e.AfterKind(negZero, kind, int32(i))
+		default:
+			e.ScheduleKindSeq(0, e.ReserveSeq(), kind, int32(i))
+		}
+	}
+	if err := e.AuditInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	e.RunAll()
+	if want := []int{0, 1, 2, 3, 4, 5, 99}; !slices.Equal(got, want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+	for _, c := range clocks {
+		if math.Signbit(c) {
+			t.Fatalf("clock read −0 while firing an event filed at −0")
+		}
+	}
+}
+
+// TestAuditCatchesHeapDisorder: swapping a parent with its child in a
+// valid heap breaks the (time, seq) order, and the audit must say so; so
+// must a NaN or −0 key written behind the scheduler's back.
+func TestAuditCatchesHeapDisorder(t *testing.T) {
+	build := func() *Engine {
+		e := New()
+		for i := 0; i < 40; i++ {
+			e.Schedule(float64(i%7), func() {})
+		}
+		if err := e.AuditInvariants(); err != nil {
+			t.Fatalf("valid heap: %v", err)
+		}
+		return e
+	}
+	e := build()
+	e.heap[0], e.heap[3] = e.heap[3], e.heap[0]
+	if e.AuditInvariants() == nil {
+		t.Fatal("audit passed a heap with a parent and child swapped")
+	}
+	for _, bad := range []float64{math.NaN(), math.Copysign(0, -1)} {
+		e := build()
+		e.heap[e.hn-1].tk = math.Float64bits(bad)
+		if e.AuditInvariants() == nil {
+			t.Fatalf("audit passed a heap holding key %g", bad)
+		}
+	}
+}
+
+// TestDeadRootSettles covers the fired root drain leaves in place while a
+// handler runs: the audit gives the same answer inside the handler as
+// between events, Stop inside a handler leaves the heap settled, and a
+// handler that panics leaves an engine that keeps the pop order.
+func TestDeadRootSettles(t *testing.T) {
+	e := New()
+	var got []int
+	audit := func(where string) {
+		if err := e.AuditInvariants(); err != nil {
+			t.Fatalf("%s: %v", where, err)
+		}
+	}
+	e.Schedule(1, func() {
+		got = append(got, 1)
+		audit("handler, root dead")
+		e.Schedule(1, func() { got = append(got, 3) })
+		audit("handler, root refilled")
+	})
+	e.Schedule(1, func() {
+		got = append(got, 2)
+		e.Stop()
+	})
+	e.Schedule(2, func() { got = append(got, 4) })
+	e.Schedule(3, func() {
+		got = append(got, 5)
+		panic("handler failure")
+	})
+	e.Schedule(3, func() { got = append(got, 6) })
+	e.Run(10)
+	if e.dead || e.hn != 4 || e.Len() != 4 || e.Now() != 1 {
+		t.Fatalf("after Stop: dead=%v heap=%d live=%d now=%g", e.dead, e.hn, e.Len(), e.Now())
+	}
+	audit("after Stop")
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("handler panic did not propagate")
+			}
+		}()
+		e.RunAll()
+	}()
+	audit("after a recovered panic")
+	e.Schedule(4, func() { got = append(got, 7) })
+	e.RunAll()
+	audit("at drain")
+	if want := []int{1, 2, 3, 4, 5, 6, 7}; !slices.Equal(got, want) {
+		t.Fatalf("fired %v, want %v", got, want)
 	}
 }

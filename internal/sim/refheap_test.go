@@ -3,8 +3,8 @@ package sim
 // A retained reference implementation of the pre-overhaul scheduler —
 // container/heap over boxed *refEvent entries plus a pending map — used
 // only by tests to pin the pop-order contract of the 4-ary arena heap:
-// for any interleaving of Schedule/ReserveSeq/Cancel/Run, with the arena's
-// typed events filed here as closures (ScheduleSeq stands in for
+// for any interleaving of Schedule/ReserveSeq/Cancel/Stop/Run, with the
+// arena's typed events filed here as closures (ScheduleSeq stands in for
 // ScheduleKindSeq), both schedulers must fire the exact same (time, seq)
 // sequence.
 
@@ -47,6 +47,7 @@ type refEngine struct {
 	pending map[int64]*refEvent
 	now     float64
 	seq     int64
+	stopped bool
 }
 
 func newRefEngine() *refEngine {
@@ -84,8 +85,13 @@ func (e *refEngine) Cancel(id int64) bool {
 	return true
 }
 
+// Stop makes the current Run or RunAll return after the in-flight event,
+// and leaves the clock where it is, as Engine.Stop does.
+func (e *refEngine) Stop() { e.stopped = true }
+
 func (e *refEngine) Run(until float64) {
-	for len(e.heap) > 0 {
+	e.stopped = false
+	for len(e.heap) > 0 && !e.stopped {
 		next := e.heap[0]
 		if next.time > until {
 			break
@@ -98,13 +104,14 @@ func (e *refEngine) Run(until float64) {
 		e.now = next.time
 		next.fn()
 	}
-	if e.now < until {
+	if !e.stopped && e.now < until {
 		e.now = until
 	}
 }
 
 func (e *refEngine) RunAll() {
-	for len(e.heap) > 0 {
+	e.stopped = false
+	for len(e.heap) > 0 && !e.stopped {
 		next := heap.Pop(&e.heap).(*refEvent)
 		if next.cancelled {
 			continue
