@@ -16,6 +16,19 @@
 // measured network latency of each sub-query request is turned into slack
 // ("we only use the request slack", §IV-C) and added to the sub-query's
 // compute deadline before it enters the server.
+//
+// A sub-query attempt costs no heap allocation in steady state. Queries,
+// sub-queries and attempts are records on per-cluster free lists. An
+// attempt binds its network callbacks once, when it is first made, and a
+// sub-query's timers are typed engine events that name it by index. An
+// attempt's life is linear (request in the network, at
+// the server, reply in the network), so one stage owns it at a time; it
+// holds its server.Request in place, and the request's ID leads the
+// server's completion callback straight back to it. An attempt returns to
+// its free list at its terminal point; a sub-query once it is resolved
+// and no attempt of any generation (nor a retry timer) still holds it; a
+// query when its last sub-query resolves. AuditPools checks after a drain
+// that every record came back exactly once.
 package cluster
 
 import (
@@ -295,16 +308,34 @@ func (s *Stats) BreakdownMeans() (reqS, serverS, replyS float64) {
 
 // Cluster wires hosts, servers and the network.
 type Cluster struct {
-	Cfg      Config
-	eng      *sim.Engine
-	net      *netsim.Network
-	hosts    []topology.NodeID
-	srvs     []*server.Server
-	pendings []pendingMap
-	stats    Stats
+	Cfg   Config
+	eng   *sim.Engine
+	net   *netsim.Network
+	hosts []topology.NodeID
+	srvs  []*server.Server
+	stats Stats
 
-	agg    *rng.Stream
-	nextID int64
+	agg *rng.Stream
+
+	// Record pools (see query, subQuery and attempt). subs and atts hold
+	// every sub-query and attempt record ever made, indexed by the timer
+	// argument and the server request ID that lead back to them. New
+	// records are carved from slabs of recordSlab, so a fan-out that
+	// needs thousands at once allocates a few slabs, not a record each.
+	// The free lists hold the records not in use, and AuditPools checks
+	// that a drained run has put every one back.
+	subs        []*subQuery
+	atts        []*attempt
+	subSlab     []subQuery
+	attSlab     []attempt
+	freeSubs    []*subQuery
+	freeAtts    []*attempt
+	freeQueries []*query
+	madeQueries int
+	doubleFrees int
+	// The typed-event kinds of a sub-query's timers; the argument is the
+	// sub-query's index in subs.
+	timeoutKind, hedgeKind, retryKind sim.Kind
 
 	// Replica selection state (replica.go). pl and sel are nil on the
 	// broadcast tier.
@@ -359,6 +390,10 @@ func New(net *netsim.Network, hosts []topology.NodeID, cfg Config) (*Cluster, er
 		// high watermark the aggregator sheds at.
 		queueLimit = cfg.Admission.HighWM
 	}
+	c.timeoutKind = c.eng.Handle(func(i int32) { c.onTimeout(c.subs[i]) })
+	c.hedgeKind = c.eng.Handle(func(i int32) { c.fireHedge(c.subs[i]) })
+	c.retryKind = c.eng.Handle(func(i int32) { c.retry(c.subs[i]) })
+	served := c.served
 	for i := range hosts {
 		i := i
 		srv, err := server.New(c.eng, server.Config{
@@ -373,8 +408,8 @@ func New(net *netsim.Network, hosts []topology.NodeID, cfg Config) (*Cluster, er
 		if err != nil {
 			return nil, err
 		}
+		srv.OnComplete = served
 		c.srvs = append(c.srvs, srv)
-		c.pendings = append(c.pendings, nil)
 	}
 	return c, nil
 }
@@ -547,7 +582,9 @@ func (c *Cluster) SaturationEpochs() int64 {
 // query is the aggregator-side state of one partition-aggregate query. It
 // resolves exactly once per sub-query (success or failure), so the query
 // itself always terminates as completed or lost — never silently vanishing
-// the way a dropped sub-query used to.
+// the way a dropped sub-query used to. It returns to its free list the
+// moment its last sub-query resolves: a resolved sub-query never reads
+// its query again.
 type query struct {
 	start   float64
 	total   int
@@ -561,16 +598,25 @@ type query struct {
 // generation is the original send plus, under SelHedged, one hedge
 // duplicate; once every attempt of a generation is dead (dropped, refused
 // or timed out) the next generation fails over or retries.
+//
+// The record is pooled. It returns to its free list once it is resolved
+// and holds reaches zero: no attempt of any generation is live (a stale
+// attempt still in the network or a server queue holds it too) and no
+// retry timer is pending. The timeout and hedge timers never outlive
+// resolution, which disarms them.
 type subQuery struct {
-	q         *query
+	q         *query // nil once resolved
+	idx       int32  // index in Cluster.subs
 	aggIdx    int
 	part      int
 	gen       int32
 	inflight  int32 // live attempts of the current generation (1, or 2 hedged)
+	holds     int32 // live attempts of every generation, plus a pending retry
 	failovers int
 	resolved  bool
 	hasTimer  bool
 	hasHedge  bool
+	pooled    bool
 	// host and base hold the current generation's target hosts and base
 	// service times by attempt slot (0 the original, 1 the hedge). An
 	// original send fills both host slots, so a generation without a hedge
@@ -578,26 +624,149 @@ type subQuery struct {
 	host [2]int
 	base [2]float64
 	// tried lists the hosts tried since a retry last reopened the replica
-	// set; it stays nil for one-candidate partitions.
+	// set; it stays empty for one-candidate partitions. Its backing array
+	// stays with the record across reuse.
 	tried      []int
 	sentAt     float64
 	timer      sim.EventID
 	hedgeTimer sim.EventID
 }
 
-// attempt names one send of a sub-query: its generation and slot.
-// Callbacks carry it, so a stale one (a late reply racing a retry, a drop
-// of an abandoned attempt) is ignored — and, for a hedge, accounted. It
-// packs into one word, which keeps the per-message callbacks small.
+// attempt is one send of a sub-query: its generation, slot and host, and
+// the server request it becomes on arrival. Its life is linear — request
+// in the network, request at the server, reply in the network — so
+// exactly one stage owns it at a time, and it returns to its free list at
+// its terminal point: a drop of either message, a refusal at a bounded
+// queue, suppression as stale on arrival or at server completion, or the
+// reply's arrival. A stale attempt (a late reply racing a retry, a drop of
+// an abandoned attempt) is ignored there — and, for a hedge, accounted.
 type attempt struct {
+	// req is the server request, held in place so its pointer is stable
+	// while it waits in a server queue. Its ID is idx: the server's
+	// completion callback leads straight back to this record.
+	req       server.Request
+	sq        *subQuery
 	gen, slot int32
+	host      int
+	idx       int32 // index in Cluster.atts
+	reply     bool  // the reply is in the network, not the request
+	pooled    bool
+	// The network callbacks, bound to this record when it is first made:
+	// delivery of the message in flight, and its drop.
+	onDelivered func(latS float64)
+	onDrop      func()
 }
 
-func (a attempt) hedge() bool { return a.slot == 1 }
+func (a *attempt) hedge() bool { return a.slot == 1 }
 
 // stale reports whether a belongs to an abandoned generation or to a
 // sub-query that already resolved.
-func (sq *subQuery) stale(a attempt) bool { return sq.resolved || a.gen != sq.gen }
+func (a *attempt) stale() bool { return a.sq.resolved || a.gen != a.sq.gen }
+
+// newQuery takes a query record from the free list, or makes one.
+func (c *Cluster) newQuery() *query {
+	if n := len(c.freeQueries); n > 0 {
+		q := c.freeQueries[n-1]
+		c.freeQueries = c.freeQueries[:n-1]
+		return q
+	}
+	c.madeQueries++
+	return &query{}
+}
+
+// recordSlab is the number of records a slab holds.
+const recordSlab = 64
+
+// newSubQuery takes a sub-query record from the free list, or makes one.
+func (c *Cluster) newSubQuery(q *query, aggIdx, part int) *subQuery {
+	var sq *subQuery
+	if n := len(c.freeSubs); n > 0 {
+		sq = c.freeSubs[n-1]
+		c.freeSubs = c.freeSubs[:n-1]
+	} else {
+		if len(c.subSlab) == 0 {
+			c.subSlab = make([]subQuery, recordSlab)
+		}
+		sq, c.subSlab = &c.subSlab[0], c.subSlab[1:]
+		sq.idx = int32(len(c.subs))
+		c.subs = append(c.subs, sq)
+	}
+	*sq = subQuery{q: q, idx: sq.idx, aggIdx: aggIdx, part: part, tried: sq.tried[:0]}
+	return sq
+}
+
+// newAttempt takes an attempt record from the free list, or makes one and
+// binds its network callbacks, and points it at sq's current generation.
+func (c *Cluster) newAttempt(sq *subQuery, slot int32, host int) *attempt {
+	var a *attempt
+	if n := len(c.freeAtts); n > 0 {
+		a = c.freeAtts[n-1]
+		c.freeAtts = c.freeAtts[:n-1]
+	} else {
+		if len(c.attSlab) == 0 {
+			c.attSlab = make([]attempt, recordSlab)
+		}
+		a, c.attSlab = &c.attSlab[0], c.attSlab[1:]
+		a.idx = int32(len(c.atts))
+		a.onDelivered = func(latS float64) { c.delivered(a, latS) }
+		a.onDrop = func() { c.onDrop(a) }
+		c.atts = append(c.atts, a)
+	}
+	a.pooled, a.reply = false, false
+	a.sq, a.gen, a.slot, a.host = sq, sq.gen, slot, host
+	sq.holds++
+	return a
+}
+
+// endAttempt returns a to the free list at its terminal point, and its
+// sub-query with it if that was the sub-query's last hold.
+func (c *Cluster) endAttempt(a *attempt) {
+	if a.pooled {
+		c.doubleFrees++
+		return
+	}
+	sq := a.sq
+	a.sq, a.pooled = nil, true
+	c.freeAtts = append(c.freeAtts, a)
+	sq.holds--
+	c.recycleSub(sq)
+}
+
+// recycleSub returns sq to the free list once it is resolved and nothing
+// holds it.
+func (c *Cluster) recycleSub(sq *subQuery) {
+	if !sq.resolved || sq.holds > 0 {
+		return
+	}
+	if sq.pooled {
+		c.doubleFrees++
+		return
+	}
+	sq.pooled = true
+	c.freeSubs = append(c.freeSubs, sq)
+}
+
+// AuditPools checks, once the engine has drained, that every pooled query,
+// sub-query and attempt record is back on its free list exactly once:
+// none leaked by a lifecycle path that forgot to end it, none freed twice.
+func (c *Cluster) AuditPools() error {
+	if c.doubleFrees > 0 {
+		return fmt.Errorf("cluster: %d records freed twice", c.doubleFrees)
+	}
+	for _, p := range []struct {
+		name       string
+		made, free int
+	}{
+		{"query", c.madeQueries, len(c.freeQueries)},
+		{"sub-query", len(c.subs), len(c.freeSubs)},
+		{"attempt", len(c.atts), len(c.freeAtts)},
+	} {
+		if p.made != p.free {
+			return fmt.Errorf("cluster: %d of %d %s records off the free list after drain", p.made-p.free, p.made, p.name)
+		}
+	}
+	return nil
+}
 
 // SubmitQuery runs one partition-aggregate query starting now: a random
 // aggregator sends one sub-query per partition (see pick for the
@@ -627,9 +796,13 @@ func (c *Cluster) SubmitQuery(sampler func() float64) {
 			return
 		}
 	}
-	q := &query{start: c.eng.Now(), total: c.partitions(), budget: c.Cfg.RetryBudget, sampler: sampler}
-	for part := 0; part < q.total; part++ {
-		c.sendAttempt(&subQuery{q: q, aggIdx: aggIdx, part: part}, 0)
+	// The loop bound is local: the last sub-query can resolve (and free q)
+	// inside its own send.
+	n := c.partitions()
+	q := c.newQuery()
+	*q = query{start: c.eng.Now(), total: n, budget: c.Cfg.RetryBudget, sampler: sampler}
+	for part := 0; part < n; part++ {
+		c.sendAttempt(c.newSubQuery(q, aggIdx, part), 0)
 	}
 }
 
@@ -640,21 +813,21 @@ func (c *Cluster) SubmitQuery(sampler func() float64) {
 // either direction.
 func (c *Cluster) sendAttempt(sq *subQuery, slot int32) {
 	host := c.pick(sq)
-	at := attempt{gen: sq.gen, slot: slot}
+	a := c.newAttempt(sq, slot, host)
 	sq.inflight++
 	c.stats.SubAttempts++
-	if at.hedge() {
+	if a.hedge() {
 		sq.host[1] = host
 		c.stats.Hedges++
 	} else {
 		sq.host = [2]int{host, host}
 		sq.sentAt = c.eng.Now()
 		if c.Cfg.SubQueryTimeout > 0 {
-			sq.timer = c.eng.After(c.Cfg.SubQueryTimeout, func() { c.onTimeout(sq, at) })
+			sq.timer = c.eng.AfterKind(c.Cfg.SubQueryTimeout, c.timeoutKind, sq.idx)
 			sq.hasTimer = true
 		}
 		if c.Cfg.Selection == SelHedged {
-			sq.hedgeTimer = c.eng.After(c.hedgeDelay(), func() { c.fireHedge(sq, at) })
+			sq.hedgeTimer = c.eng.AfterKind(c.hedgeDelay(), c.hedgeKind, sq.idx)
 			sq.hasHedge = true
 		}
 	}
@@ -666,28 +839,35 @@ func (c *Cluster) sendAttempt(sq *subQuery, slot int32) {
 		sq.base[slot] = sq.q.sampler()
 	}
 	if host == sq.aggIdx {
-		c.onRequestArrived(sq, at, 0)
+		c.onRequestArrived(a, 0)
 		return
 	}
-	c.net.SendMessage(c.FlowID(sq.aggIdx, host), c.Cfg.SubQueryBytes,
-		func(netLat float64) { c.onRequestArrived(sq, at, netLat) },
-		func() { c.onDrop(sq, at) })
+	c.net.SendMessage(c.FlowID(sq.aggIdx, host), c.Cfg.SubQueryBytes, a.onDelivered, a.onDrop)
 }
 
-// fireHedge launches the duplicate attempt when the hedge timer elapses
-// with the original still unresolved.
-func (c *Cluster) fireHedge(sq *subQuery, at attempt) {
+// fireHedge launches the duplicate attempt when the hedge timer elapses.
+// Resolution and every new generation disarm the timer, so when it fires
+// the original is still unresolved.
+func (c *Cluster) fireHedge(sq *subQuery) {
 	sq.hasHedge = false
-	if !sq.stale(at) {
-		c.sendAttempt(sq, 1)
+	c.sendAttempt(sq, 1)
+}
+
+// delivered is the network's delivery callback for either leg of a.
+func (c *Cluster) delivered(a *attempt, latS float64) {
+	if a.reply {
+		c.onReplyArrived(a, latS)
+	} else {
+		c.onRequestArrived(a, latS)
 	}
 }
 
 // onRequestArrived turns a delivered sub-query request into a server
 // request with the measured network slack (paper §IV-C).
-func (c *Cluster) onRequestArrived(sq *subQuery, at attempt, netLat float64) {
-	if sq.stale(at) {
-		c.wasteHedge(at) // suppressed before reaching the server
+func (c *Cluster) onRequestArrived(a *attempt, netLat float64) {
+	if a.stale() {
+		c.wasteHedge(a) // suppressed before reaching the server
+		c.endAttempt(a)
 		return
 	}
 	now := c.eng.Now()
@@ -704,114 +884,110 @@ func (c *Cluster) onRequestArrived(sq *subQuery, at attempt, netLat float64) {
 		}
 	}
 	c.stats.SlackGranted.Add(slack)
-	c.nextID++
-	req := &server.Request{
-		ID:             c.nextID,
+	a.req = server.Request{
+		ID:             int64(a.idx),
 		Arrival:        now,
-		BaseServiceS:   sq.base[at.slot],
+		BaseServiceS:   a.sq.base[a.slot],
 		ServerDeadline: now + c.Cfg.ServerBudget,
 		SlackDeadline:  now + c.Cfg.ServerBudget + slack,
 	}
-	c.enqueueWithReply(sq, at, req)
+	c.enqueue(a)
 }
 
-// pendingMap tracks reply callbacks per request ID for each server.
-type pendingMap map[int64]func()
-
-// enqueueWithReply queues req at the attempt's host and registers the
-// reply send on its completion. The host suppresses the reply for attempts
-// the aggregator has already abandoned (the server work is wasted, as it
-// would be in a real cluster); for a hedge that suppression is its
-// terminal accounting point.
-func (c *Cluster) enqueueWithReply(sq *subQuery, at attempt, req *server.Request) {
-	host := sq.host[at.slot]
-	srv := c.srvs[host]
-	if srv.OnComplete == nil {
-		pend := pendingMap{}
-		c.pendings[host] = pend
-		srv.OnComplete = func(r *server.Request, finish float64) {
-			if cb, ok := pend[r.ID]; ok {
-				delete(pend, r.ID)
-				cb()
-			}
-		}
-	}
-	arrival := req.Arrival
-	c.pendings[host][req.ID] = func() {
-		if sq.stale(at) {
-			c.wasteHedge(at) // abandoned while queued or in service
-			return
-		}
-		c.stats.ServerLat.Add(c.eng.Now() - arrival)
-		if host == sq.aggIdx {
-			c.onReplyArrived(sq, at, 0)
-			return
-		}
-		c.net.SendMessage(c.FlowID(host, sq.aggIdx), c.Cfg.ReplyBytes,
-			func(replyLat float64) { c.onReplyArrived(sq, at, replyLat) },
-			func() { c.onDrop(sq, at) })
-	}
+// enqueue queues the attempt's request at its host; served picks it up on
+// completion.
+func (c *Cluster) enqueue(a *attempt) {
+	srv := c.srvs[a.host]
 	if c.Cfg.AdmissionControl {
 		// Bounded queue: a sub-query that slipped past the aggregator while
 		// pressure rose is refused here rather than growing the queue past
 		// the watermark. The refusal follows the failover/retry path so the
 		// query still terminates; a full queue is load, not death, so the
 		// host is not marked suspect.
-		if !srv.TryEnqueue(req) {
-			delete(c.pendings[host], req.ID)
+		if !srv.TryEnqueue(&a.req) {
+			sq := a.sq
 			c.stats.RejectedSub++
-			c.wasteHedge(at)
+			c.wasteHedge(a)
+			c.endAttempt(a)
 			if sq.inflight--; sq.inflight <= 0 {
 				c.failAttempt(sq, false)
 			}
 		}
 		return
 	}
-	srv.Enqueue(req)
+	srv.Enqueue(&a.req)
+}
+
+// served is every server's completion callback: it sends the reply of the
+// attempt whose request finished. The host suppresses the reply for
+// attempts the aggregator has already abandoned (the server work is
+// wasted, as it would be in a real cluster); for a hedge that suppression
+// is its terminal accounting point.
+func (c *Cluster) served(r *server.Request, _ float64) {
+	a := c.atts[r.ID]
+	if a.stale() {
+		c.wasteHedge(a) // abandoned while queued or in service
+		c.endAttempt(a)
+		return
+	}
+	c.stats.ServerLat.Add(c.eng.Now() - a.req.Arrival)
+	aggIdx := a.sq.aggIdx
+	if a.host == aggIdx {
+		c.onReplyArrived(a, 0)
+		return
+	}
+	a.reply = true
+	c.net.SendMessage(c.FlowID(a.host, aggIdx), c.Cfg.ReplyBytes, a.onDelivered, a.onDrop)
 }
 
 // onReplyArrived resolves a sub-query whose reply made it back first.
-func (c *Cluster) onReplyArrived(sq *subQuery, at attempt, replyLat float64) {
-	if sq.stale(at) {
-		c.wasteHedge(at) // the other attempt won, or a retry superseded this one
+func (c *Cluster) onReplyArrived(a *attempt, replyLat float64) {
+	sq := a.sq
+	if a.stale() {
+		c.wasteHedge(a) // the other attempt won, or a retry superseded this one
+		c.endAttempt(a)
 		return
 	}
 	sq.resolved = true
 	c.disarmTimers(sq)
-	if at.hedge() {
+	if a.hedge() {
 		c.stats.HedgeWins++
 	}
 	c.stats.NetReplyLat.Add(replyLat)
 	if c.Cfg.Selection == SelHedged {
 		c.rtt.Add(c.eng.Now() - sq.sentAt)
 	}
-	sq.q.done++
-	c.finish(sq.q)
+	q := sq.q
+	sq.q = nil
+	q.done++
+	c.finish(q)
+	c.endAttempt(a)
 }
 
 // onDrop handles the simulator's message-level drop notification for
 // either direction of an attempt. The host becomes suspect; the sub-query
 // only moves on once every attempt of the generation is dead (a dropped
 // original with a hedge still racing does nothing yet).
-func (c *Cluster) onDrop(sq *subQuery, at attempt) {
+func (c *Cluster) onDrop(a *attempt) {
 	c.stats.DroppedSub++
-	c.wasteHedge(at) // terminal for a hedge either way
-	if sq.stale(at) {
-		return
+	c.wasteHedge(a) // terminal for a hedge either way
+	sq, stale := a.sq, a.stale()
+	if !stale {
+		c.suspect[a.host] = true
 	}
-	c.suspect[sq.host[at.slot]] = true
-	if sq.inflight--; sq.inflight <= 0 {
-		c.failAttempt(sq, false)
+	c.endAttempt(a)
+	if !stale {
+		if sq.inflight--; sq.inflight <= 0 {
+			c.failAttempt(sq, false)
+		}
 	}
 }
 
 // onTimeout fires when no attempt of the generation replied in time. Every
 // host the generation touched is marked suspect — the timer cannot tell
-// which attempt stalled.
-func (c *Cluster) onTimeout(sq *subQuery, at attempt) {
-	if sq.stale(at) {
-		return
-	}
+// which attempt stalled. Resolution and every new generation disarm the
+// timer, so when it fires the generation is still the current one.
+func (c *Cluster) onTimeout(sq *subQuery) {
 	sq.hasTimer = false
 	c.stats.Timeouts++
 	c.suspect[sq.host[0]] = true
@@ -820,8 +996,8 @@ func (c *Cluster) onTimeout(sq *subQuery, at attempt) {
 }
 
 // wasteHedge counts a hedge duplicate that terminated without winning.
-func (c *Cluster) wasteHedge(at attempt) {
-	if at.hedge() {
+func (c *Cluster) wasteHedge(a *attempt) {
+	if a.hedge() {
 		c.stats.HedgeWasted++
 	}
 }
@@ -846,19 +1022,30 @@ func (c *Cluster) failAttempt(sq *subQuery, fromTimeout bool) {
 		sq.tried = sq.tried[:0] // every replica burned once; reopen the set
 	default:
 		sq.resolved = true
-		sq.q.failed++
-		c.finish(sq.q)
+		q := sq.q
+		sq.q = nil
+		q.failed++
+		c.finish(q)
+		c.recycleSub(sq)
 		return
 	}
 	if fromTimeout {
 		c.sendAttempt(sq, 0)
 		return
 	}
-	c.eng.After(c.Cfg.RetryDelay, func() {
-		if !sq.resolved {
-			c.sendAttempt(sq, 0)
-		}
-	})
+	sq.holds++ // released by retry
+	c.eng.AfterKind(c.Cfg.RetryDelay, c.retryKind, sq.idx)
+}
+
+// retry re-sends a sub-query whose last generation was dropped, once
+// RetryDelay has passed. The timer's hold outlasts the send, which can
+// resolve sq (a synchronous drop with no budget left).
+func (c *Cluster) retry(sq *subQuery) {
+	if !sq.resolved {
+		c.sendAttempt(sq, 0)
+	}
+	sq.holds--
+	c.recycleSub(sq)
 }
 
 // disarmTimers cancels the generation's pending timers, if armed.
@@ -873,16 +1060,19 @@ func (c *Cluster) disarmTimers(sq *subQuery) {
 	}
 }
 
-// finish closes the query once every sub-query has resolved.
+// finish closes the query once every sub-query has resolved, and returns
+// it to the free list.
 func (c *Cluster) finish(q *query) {
 	if q.done+q.failed != q.total {
 		return
 	}
-	if q.failed > 0 {
+	lost, lat := q.failed > 0, c.eng.Now()-q.start
+	q.sampler = nil
+	c.freeQueries = append(c.freeQueries, q)
+	if lost {
 		c.stats.QueriesLost++
 		return
 	}
-	lat := c.eng.Now() - q.start
 	c.stats.Queries++
 	c.stats.QueryLatency.Add(lat)
 	if lat > c.Cfg.ServerBudget+c.Cfg.NetworkBudget+1e-12 {
@@ -899,7 +1089,7 @@ func (c *Cluster) finish(q *query) {
 func (c *Cluster) StartPoisson(rate func() float64, sampler func() float64, seed int64) func() {
 	stream := rng.Derive(seed, "query-arrivals")
 	stopped := false
-	var tick func()
+	var tick, arrive func()
 	tick = func() {
 		if stopped {
 			return
@@ -909,13 +1099,14 @@ func (c *Cluster) StartPoisson(rate func() float64, sampler func() float64, seed
 			c.eng.After(100e-3, tick)
 			return
 		}
-		c.eng.After(stream.Exp(1/r), func() {
-			if stopped {
-				return
-			}
-			c.SubmitQuery(sampler)
-			tick()
-		})
+		c.eng.After(stream.Exp(1/r), arrive)
+	}
+	arrive = func() {
+		if stopped {
+			return
+		}
+		c.SubmitQuery(sampler)
+		tick()
 	}
 	tick()
 	return func() { stopped = true }

@@ -269,7 +269,7 @@ func TestReplicatedDeterministic(t *testing.T) {
 func TestBroadcastSubmitAllocsPinned(t *testing.T) {
 	c, eng, _, _ := buildWith(t, nil)
 	sampler := func() float64 { return 1e-3 }
-	// Warm the trackers and pending maps to their steady-state capacity.
+	// Warm the trackers and the record pools to their steady-state capacity.
 	for i := 0; i < 20; i++ {
 		c.SubmitQuery(sampler)
 		eng.RunAll()
@@ -278,14 +278,81 @@ func TestBroadcastSubmitAllocsPinned(t *testing.T) {
 		c.SubmitQuery(sampler)
 		eng.RunAll()
 	})
-	// Measured ~210 allocs/cycle before the replica work (query, 15
-	// sub-queries, server requests, message closures, amortized tracker
-	// growth); the guard has ~15% headroom for run-to-run amortization
-	// noise. Replication-off regressions (e.g. a replica allocation on the
-	// broadcast path) blow well past it.
-	const maxAllocs = 240
+	// Measured 0 allocs/cycle: the query, sub-query and attempt records
+	// come from the cluster's free lists, their callbacks are bound once,
+	// and the trackers' amortized growth stays below one allocation per
+	// cycle (it was 136 with a closure per callback and pending maps).
+	// 15% headroom on 0 is 0.
+	const maxAllocs = 0
 	if avg > maxAllocs {
 		t.Fatalf("broadcast submit cycle allocates %.1f/op, pinned at %d", avg, maxAllocs)
+	}
+	if err := c.AuditPools(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// hedgedFaultCycle builds an R=3 SelHedged cluster with a sub-query
+// timeout, a retry budget and one replica's uplink down, and returns one
+// query's submit + drain cycle on it. Every lifecycle branch runs inside
+// the cycle: the dead replica's attempts drop and fail over
+// (ReadmitReplicas at the top of each cycle clears the suspect mark a
+// repair event would), a fixed 0.3 ms hedge delay launches duplicates,
+// and every third base draw is long enough to time out and retry.
+func hedgedFaultCycle(t testing.TB) (*Cluster, func()) {
+	c, eng, net, ft := buildReplicated(t, 3, func(cfg *Config) {
+		cfg.Selection = SelHedged
+		cfg.HedgeDelayS = 0.3e-3
+		cfg.SubQueryTimeout = 2e-3
+		cfg.RetryBudget = 4
+	})
+	killUplink(net, ft, c.Placement().Replicas(0)[0])
+	draws := 0
+	sampler := func() float64 {
+		if draws++; draws%3 == 0 {
+			return 3e-3
+		}
+		return 0.2e-3
+	}
+	return c, func() {
+		c.ReadmitReplicas()
+		c.SubmitQuery(sampler)
+		eng.RunAll()
+	}
+}
+
+// The replicated hot path is pinned the same way, on hedgedFaultCycle:
+// failover, hedge, timeout and retry all run inside the measured cycle.
+func TestReplicatedSubmitAllocsPinned(t *testing.T) {
+	c, cycle := hedgedFaultCycle(t)
+	for i := 0; i < 20; i++ {
+		cycle()
+	}
+	before := *c.Stats()
+	avg := testing.AllocsPerRun(50, cycle)
+	st := c.Stats()
+	for _, d := range []struct {
+		name        string
+		after, prev int
+	}{
+		{"failovers", st.Failovers, before.Failovers},
+		{"hedges", st.Hedges, before.Hedges},
+		{"timeouts", st.Timeouts, before.Timeouts},
+		{"retries", st.Retries, before.Retries},
+		{"drops", st.DroppedSub, before.DroppedSub},
+	} {
+		if d.after == d.prev {
+			t.Errorf("no %s inside the measured cycles", d.name)
+		}
+	}
+	// Measured 0 allocs/cycle, like the broadcast tier: failover, hedge,
+	// timeout and retry reuse the same pooled records and bound timers.
+	const maxAllocs = 0
+	if avg > maxAllocs {
+		t.Fatalf("replicated submit cycle allocates %.1f/op, pinned at %d", avg, maxAllocs)
+	}
+	if err := c.AuditPools(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -369,6 +436,9 @@ func FuzzReplicaFailover(f *testing.F) {
 			t.Fatalf("hedge identity violated: %d != %d + %d", st.Hedges, st.HedgeWins, st.HedgeWasted)
 		}
 		if err := eng.AuditInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.AuditPools(); err != nil {
 			t.Fatal(err)
 		}
 	})

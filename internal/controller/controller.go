@@ -93,6 +93,10 @@ type Controller struct {
 	// FlowRatesInto refills it in place, so the epoch loop stops
 	// allocating a fresh map (plus one entry per flow) every poll.
 	ratesScratch map[flow.ID]float64
+	// broken and finder are RepairRoutes' scratch: the flows found
+	// broken in one pass, and the search state for their new paths.
+	broken []flow.Flow
+	finder topology.PathFinder
 	// surge holds the surge-response state (nil until
 	// StartSurgeResponse).
 	surge *surgeState
@@ -296,19 +300,19 @@ func (c *Controller) Reoptimize() error {
 // runs again. Returns (repaired, failed) for this invocation.
 func (c *Controller) RepairRoutes() (repaired, failed int) {
 	active := c.net.Active()
-	var broken []flow.Flow
+	broken := c.broken[:0]
 	for _, f := range c.flows {
-		p, ok := c.net.Route(f.ID)
-		if !ok || !active.PathOn(p) {
+		if !c.net.RouteOn(f.ID) {
 			broken = append(broken, f)
 		}
 	}
+	c.broken = broken
 	if len(broken) == 0 {
 		return 0, 0
 	}
 	var stranded []flow.Flow
 	for _, f := range broken {
-		if p := active.ShortestActivePath(f.Src, f.Dst); p != nil {
+		if p := c.finder.ShortestActivePath(active, f.Src, f.Dst); p != nil {
 			if err := c.net.SetRoute(f.ID, p); err != nil {
 				panic(fmt.Sprintf("controller: repair produced invalid route: %v", err))
 			}
@@ -324,7 +328,7 @@ func (c *Controller) RepairRoutes() (repaired, failed int) {
 		c.net.SetActive(topology.NewActiveSet(c.net.Graph()))
 		active = c.net.Active()
 		for _, f := range stranded {
-			if p := active.ShortestActivePath(f.Src, f.Dst); p != nil {
+			if p := c.finder.ShortestActivePath(active, f.Src, f.Dst); p != nil {
 				if err := c.net.SetRoute(f.ID, p); err != nil {
 					panic(fmt.Sprintf("controller: repair produced invalid route: %v", err))
 				}

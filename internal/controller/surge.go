@@ -129,7 +129,7 @@ func (c *Controller) surgeExpand() {
 	c.net.SetActive(topology.NewActiveSet(c.net.Graph()))
 	active := c.net.Active()
 	for _, f := range c.flows {
-		if p := active.ShortestActivePath(f.Src, f.Dst); p != nil {
+		if p := c.finder.ShortestActivePath(active, f.Src, f.Dst); p != nil {
 			if err := c.net.SetRoute(f.ID, p); err != nil {
 				panic(fmt.Sprintf("controller: surge expansion produced invalid route: %v", err))
 			}

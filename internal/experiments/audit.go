@@ -28,13 +28,17 @@ import (
 //     no event is left;
 //   - hedge accounting (replicated runs): every launched hedge terminates
 //     as exactly one win or one wasted duplicate, hedges = wins + wasted;
+//   - the cluster's record pools: every query, sub-query and attempt
+//     record is back on its free list, none leaked and none freed twice
+//     (cluster.AuditPools);
 //   - last-replica reachability (replicated runs): the applied active set
 //     leaves every partition with a reachable replica
 //     (consolidate.StrandedPartitions returns none).
 
 // auditRun asserts the invariant set for one simulation cell after
 // eng.RunAll() has drained it.
-func auditRun(eng *sim.Engine, net *netsim.Network, st *cluster.Stats) error {
+func auditRun(eng *sim.Engine, net *netsim.Network, cl *cluster.Cluster) error {
+	st := cl.Stats()
 	// Query conservation (incl. shed).
 	if st.QueriesSubmitted < 0 || st.Queries < 0 || st.QueriesLost < 0 || st.QueriesShed < 0 {
 		return fmt.Errorf("audit: negative query counter: %+v", st)
@@ -67,6 +71,9 @@ func auditRun(eng *sim.Engine, net *netsim.Network, st *cluster.Stats) error {
 	if st.Hedges != st.HedgeWins+st.HedgeWasted {
 		return fmt.Errorf("audit: hedge identity violated after drain: %d launched != %d wins + %d wasted",
 			st.Hedges, st.HedgeWins, st.HedgeWasted)
+	}
+	if err := cl.AuditPools(); err != nil {
+		return fmt.Errorf("audit: %w", err)
 	}
 	// Engine bookkeeping.
 	if err := eng.AuditInvariants(); err != nil {

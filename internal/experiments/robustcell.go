@@ -228,7 +228,7 @@ func runCell(s cellSpec) (*cellResult, error) {
 	eng.RunAll()
 
 	res.st = cl.Stats()
-	if err := auditRun(eng, net, res.st); err != nil {
+	if err := auditRun(eng, net, cl); err != nil {
 		return nil, err
 	}
 	if err := auditReplicaReachability(net, parts); err != nil {

@@ -171,6 +171,11 @@ func (r *RunningQuantile) Add(v float64) {
 	}
 }
 
+// Reset discards all samples, retaining the heaps' capacity.
+func (r *RunningQuantile) Reset() {
+	r.lo, r.hi = r.lo[:0], r.hi[:0]
+}
+
 // Count returns the number of recorded samples.
 func (r *RunningQuantile) Count() int { return len(r.lo) + len(r.hi) }
 

@@ -453,6 +453,28 @@ func (n *Network) Route(id flow.ID) (topology.Path, bool) {
 	return n.arena.MaterializePath(ref), true
 }
 
+// RouteOn reports whether flow id has an installed route whose every node
+// and link is powered in the current active set: Active().PathOn of the
+// path Route would materialize, decided from the route's interned
+// segments instead. Hops are checked by the segments' liveness masks,
+// revalidated first if the active set has changed since they last
+// looked, and the route's source node by the active set.
+func (n *Network) RouteOn(id flow.ID) bool {
+	rt, ok := n.routes.get(id)
+	if !ok || !n.active.NodeOn(n.arena.Head(rt.Up)) {
+		return false
+	}
+	for _, s := range [2]topology.SegID{rt.Up, rt.Down} {
+		if n.arena.SegEpoch(s) != n.activeEpoch {
+			n.arena.Revalidate(s, n.active, n.activeEpoch)
+		}
+		if n.arena.SegNumOff(s) != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // Arena exposes the network's segment arena (read-mostly; tests and
 // stats reporting use it).
 func (n *Network) Arena() *topology.SegmentArena { return n.arena }

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"eprons/internal/fattree"
 	"eprons/internal/flow"
 	"eprons/internal/rng"
 	"eprons/internal/sim"
@@ -334,5 +335,58 @@ func TestSharedSegmentStaleness(t *testing.T) {
 	// current epoch with exactly one hop masked.
 	if n.arena.SegNumOff(r1.Down) != 1 {
 		t.Errorf("shared down-segment numOff = %d, want 1", n.arena.SegNumOff(r1.Down))
+	}
+}
+
+// TestRouteOnMatchesPathOn: over random active sets of a k=4 fat-tree —
+// switches and links off at random, not normalized, so a live link can
+// meet a dead switch — RouteOn decides every installed route's liveness
+// from its interned segments exactly as PathOn does on the materialized
+// path. Routes share segments and each set bumps the epoch, so stale
+// masks are revalidated along the way; a flow without a route is off.
+func TestRouteOnMatchesPathOn(t *testing.T) {
+	ft, err := fattree.New(fattree.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := New(sim.New(), ft.Graph, DefaultConfig())
+	s := rng.New(11)
+	var ids []flow.ID
+	for i, src := range ft.Hosts {
+		for j, dst := range ft.Hosts {
+			if i == j {
+				continue
+			}
+			id := flow.ID(i*len(ft.Hosts) + j)
+			if err := n.SetRoute(id, ft.PathByIndex(src, dst, s.Intn(ft.NumPaths(src, dst)))); err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, id)
+		}
+	}
+	g := ft.Graph
+	for round := 0; round < 60; round++ {
+		a := topology.NewActiveSet(g)
+		offNode, offLink := 0.05*float64(round%5), 0.03*float64(round%4)
+		for _, nd := range g.Nodes() {
+			if nd.Kind.IsSwitch() && s.Float64() < offNode {
+				a.SetNode(nd.ID, false)
+			}
+		}
+		for _, l := range g.Links() {
+			if s.Float64() < offLink {
+				a.SetLink(l.ID, false)
+			}
+		}
+		n.SetActive(a)
+		for _, id := range ids {
+			p, _ := n.Route(id)
+			if got, want := n.RouteOn(id), n.Active().PathOn(p); got != want {
+				t.Fatalf("round %d flow %d: RouteOn %v, PathOn(%v) %v", round, id, got, p, want)
+			}
+		}
+	}
+	if n.RouteOn(flow.ID(len(ft.Hosts) * len(ft.Hosts))) {
+		t.Error("a flow with no route reports on")
 	}
 }

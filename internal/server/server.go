@@ -25,6 +25,9 @@ import (
 
 // Request is one unit of work (a search sub-query on an ISN).
 type Request struct {
+	// ID is the submitter's name for the request, opaque to the server
+	// and its policies; it comes back through Server.OnComplete. The
+	// search cluster uses the index of the attempt record that holds it.
 	ID      int64
 	Arrival float64 // time the request entered the server queue
 	// BaseServiceS is the drawn service time at fmax. The simulator knows
@@ -144,13 +147,24 @@ type core struct {
 	id     int
 	policy Policy
 
+	// queue[head:] holds the waiting requests in FIFO order; the policy
+	// sees that window and may reorder it in place. Starting service
+	// advances head over the same backing array, which is reused: head
+	// resets when the queue empties, and an append into a full array
+	// first slides the window down to index 0.
 	queue   []*Request
+	head    int
 	cur     *Request
 	freq    float64
 	lastT   float64 // last time progress was accounted
 	compEv  sim.EventID
 	hasComp bool
 	acc     *power.Accumulator
+	// The engine callbacks, bound once so scheduling them allocates
+	// nothing: completion of the in-service request (bound on the core's
+	// first request), and with Config.Sleep the end of a wake and the
+	// idle timeout that puts the core to sleep.
+	completeFn, wakeFn, sleepFn func()
 
 	// residency accumulates busy seconds per frequency.
 	residency map[float64]float64
@@ -196,7 +210,7 @@ func New(eng *sim.Engine, cfg Config) (*Server, error) {
 	}
 	s := &Server{Cfg: cfg}
 	for i := 0; i < cfg.Cores; i++ {
-		s.cores = append(s.cores, &core{
+		c := &core{
 			srv:       s,
 			eng:       eng,
 			id:        i,
@@ -206,7 +220,11 @@ func New(eng *sim.Engine, cfg Config) (*Server, error) {
 			acc:       power.NewAccumulator(eng.Now(), power.CoreIdleW),
 			residency: make(map[float64]float64),
 			resT:      eng.Now(),
-		})
+		}
+		if cfg.Sleep {
+			c.wakeFn, c.sleepFn = c.wake, c.sleep
+		}
+		s.cores = append(s.cores, c)
 	}
 	return s, nil
 }
@@ -307,7 +325,7 @@ func (s *Server) Utilization(t float64) float64 {
 }
 
 func (c *core) load() int {
-	n := len(c.queue)
+	n := len(c.queue) - c.head
 	if c.cur != nil {
 		n++
 	}
@@ -315,6 +333,11 @@ func (c *core) load() int {
 }
 
 func (c *core) enqueue(r *Request) {
+	if c.head > 0 && len(c.queue) == cap(c.queue) {
+		n := copy(c.queue, c.queue[c.head:])
+		clear(c.queue[n:])
+		c.queue, c.head = c.queue[:n], 0
+	}
 	c.queue = append(c.queue, r)
 	if c.srv.Cfg.Sleep {
 		if c.hasSleep {
@@ -324,12 +347,7 @@ func (c *core) enqueue(r *Request) {
 		if c.asleep && !c.waking {
 			// Wake the core: requests wait out the exit latency.
 			c.waking = true
-			c.eng.After(c.srv.Cfg.WakeLatencyS, func() {
-				c.asleep = false
-				c.waking = false
-				c.wakes++
-				c.decide()
-			})
+			c.eng.After(c.srv.Cfg.WakeLatencyS, c.wakeFn)
 			return
 		}
 		if c.waking {
@@ -337,6 +355,24 @@ func (c *core) enqueue(r *Request) {
 		}
 	}
 	c.decide()
+}
+
+// wake ends the exit latency of a sleeping core.
+func (c *core) wake() {
+	c.asleep = false
+	c.waking = false
+	c.wakes++
+	c.decide()
+}
+
+// sleep fires when the idle timeout elapses and puts a still-idle core to
+// sleep.
+func (c *core) sleep() {
+	c.hasSleep = false
+	if c.cur == nil && c.head == len(c.queue) {
+		c.asleep = true
+		c.updatePower()
+	}
 }
 
 // accountProgress folds elapsed wall time into the in-service request's
@@ -357,31 +393,28 @@ func (c *core) decide() {
 	now := c.eng.Now()
 	c.accountProgress()
 
-	if c.cur == nil && len(c.queue) > 0 {
+	if c.cur == nil && c.head < len(c.queue) {
 		// Let the policy order the queue before the head starts service:
 		// pass cur=nil so it sees the full queue.
-		f := c.policy.OnDecision(now, nil, c.queue)
-		c.cur = c.queue[0]
-		c.queue = c.queue[1:]
+		q := c.queue[c.head:]
+		f := c.policy.OnDecision(now, nil, q)
+		c.cur, q[0] = q[0], nil
+		if c.head++; c.head == len(c.queue) {
+			c.queue, c.head = c.queue[:0], 0
+		}
 		c.setFreq(f) // after cur is set, so the power level reflects an active core
 		c.scheduleCompletion()
 		return
 	}
 	if c.cur == nil {
 		if c.srv.Cfg.Sleep && !c.asleep && !c.hasSleep {
-			c.sleepEv = c.eng.After(c.srv.Cfg.SleepAfterIdleS, func() {
-				c.hasSleep = false
-				if c.cur == nil && len(c.queue) == 0 {
-					c.asleep = true
-					c.updatePower()
-				}
-			})
+			c.sleepEv = c.eng.After(c.srv.Cfg.SleepAfterIdleS, c.sleepFn)
 			c.hasSleep = true
 		}
 		c.updatePower()
 		return
 	}
-	f := c.policy.OnDecision(now, c.cur, c.queue)
+	f := c.policy.OnDecision(now, c.cur, c.queue[c.head:])
 	c.setFreq(f)
 	c.scheduleCompletion()
 }
@@ -428,7 +461,10 @@ func (c *core) scheduleCompletion() {
 		remainingBase = 0
 	}
 	wall := remainingBase * Stretch(c.srv.Cfg.Alpha, c.srv.Cfg.FMaxGHz, c.freq)
-	c.compEv = c.eng.After(wall, c.complete)
+	if c.completeFn == nil {
+		c.completeFn = c.complete
+	}
+	c.compEv = c.eng.After(wall, c.completeFn)
 	c.hasComp = true
 }
 

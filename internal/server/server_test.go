@@ -2,6 +2,7 @@ package server
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -141,6 +142,68 @@ func TestQueueingFIFO(t *testing.T) {
 		if id != int64(i+1) {
 			t.Fatalf("completion order %v", order)
 		}
+	}
+}
+
+// reversePolicy reverses the waiting window in place whenever the core is
+// about to start a request, so the newest waiting request goes first.
+type reversePolicy struct{}
+
+func (reversePolicy) Name() string { return "reverse" }
+func (reversePolicy) OnDecision(now float64, cur *Request, queue []*Request) float64 {
+	if cur == nil {
+		slices.Reverse(queue)
+	}
+	return power.FMaxGHz
+}
+func (reversePolicy) OnComplete(now float64, r *Request) {}
+
+// TestQueueWindowReuse: the core's FIFO serves from a window over one
+// backing array. Arrivals that land while earlier requests are in service
+// slide the window down instead of regrowing it, the order holds, a
+// policy's in-place reordering of the window is what gets served, and
+// once the array has grown a busy period allocates nothing.
+func TestQueueWindowReuse(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		policy Policy
+		want   []int64
+	}{
+		// Request 1 starts at once and 2..6 wait; 7..9 arrive at 2.5 ms,
+		// after 1 and a second request have left the window, and the last
+		// of them finds the array full with its head advanced.
+		{"fifo", fixedPolicy{power.FMaxGHz}, []int64{1, 2, 3, 4, 5, 6, 7, 8, 9}},
+		// Each start reverses the window: 6 of [2..6], 2 of [5 4 3 2],
+		// 9 of [3 4 5 7 8 9], 3 of [8 7 5 4 3], and so on.
+		{"reordered", reversePolicy{}, []int64{1, 6, 2, 9, 3, 8, 4, 7, 5}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.New()
+			s := newServer(t, eng, 1, 0.9, func(int) Policy { return tc.policy })
+			var order []int64
+			s.OnComplete = func(r *Request, at float64) { order = append(order, r.ID) }
+			reqs := make([]Request, 9)
+			burst := func(from, to int) {
+				for i := from; i < to; i++ {
+					reqs[i] = Request{ID: int64(i + 1), Arrival: eng.Now(), BaseServiceS: 1e-3, ServerDeadline: 1, SlackDeadline: 1}
+					s.Enqueue(&reqs[i])
+				}
+			}
+			burst(0, 6)
+			eng.Schedule(2.5e-3, func() { burst(6, 9) })
+			eng.RunAll()
+			if !slices.Equal(order, tc.want) {
+				t.Fatalf("completion order %v, want %v", order, tc.want)
+			}
+			if allocs := testing.AllocsPerRun(20, func() {
+				order = order[:0]
+				burst(0, 6)
+				eng.Schedule(eng.Now()+2.5e-3, func() { burst(6, 9) })
+				eng.RunAll()
+			}); allocs > 1 {
+				t.Errorf("a warm busy period allocates %.1f, want at most the scheduled closure", allocs)
+			}
+		})
 	}
 }
 

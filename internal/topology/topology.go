@@ -7,6 +7,7 @@ package topology
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // NodeID indexes a node within a Graph.
@@ -475,18 +476,39 @@ func (a *ActiveSet) HostsConnected() bool {
 // ShortestActivePath returns a minimum-hop path between two nodes using
 // only powered elements, or nil if none exists.
 func (a *ActiveSet) ShortestActivePath(src, dst NodeID) Path {
+	var f PathFinder
+	return f.ShortestActivePath(a, src, dst)
+}
+
+// PathFinder is reusable breadth-first-search scratch for
+// ShortestActivePath. A caller that searches many paths, such as route
+// repair, keeps one and allocates nothing once its buffers have grown to
+// the graph. The zero value is ready to use; it is not safe for
+// concurrent use.
+type PathFinder struct {
+	prev  []NodeID
+	queue []NodeID
+	path  Path
+}
+
+// ShortestActivePath is ActiveSet.ShortestActivePath on f's scratch: the
+// same path, in a buffer f reuses, so it is valid until f's next search.
+// Callers that keep it copy it (netsim.SetRoute does not keep it).
+func (f *PathFinder) ShortestActivePath(a *ActiveSet, src, dst NodeID) Path {
 	if src == dst {
-		return Path{src}
+		f.path = append(f.path[:0], src)
+		return f.path
 	}
-	prev := make([]NodeID, a.g.NumNodes())
+	n := a.g.NumNodes()
+	prev := slices.Grow(f.prev[:0], n)[:n]
 	for i := range prev {
 		prev[i] = -1
 	}
+	f.prev = prev
 	prev[src] = src
-	queue := []NodeID{src}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
+	queue := append(f.queue[:0], src)
+	for head := 0; head < len(queue); head++ {
+		n := queue[head]
 		for _, lid := range a.g.adj[n] {
 			if !a.linkOn[lid] {
 				continue
@@ -497,18 +519,29 @@ func (a *ActiveSet) ShortestActivePath(src, dst NodeID) Path {
 			}
 			prev[o] = n
 			if o == dst {
-				var path Path
-				for cur := dst; ; cur = prev[cur] {
-					path = append(Path{cur}, path...)
-					if cur == src {
-						return path
-					}
-				}
+				f.queue = queue
+				return f.trace(src, dst)
 			}
 			queue = append(queue, o)
 		}
 	}
+	f.queue = queue
 	return nil
+}
+
+// trace writes the path the search's prev links give from src to dst,
+// front to back, into f.path.
+func (f *PathFinder) trace(src, dst NodeID) Path {
+	hops := 0
+	for cur := dst; cur != src; cur = f.prev[cur] {
+		hops++
+	}
+	p := slices.Grow(f.path[:0], hops+1)[:hops+1]
+	for i, cur := hops, dst; i >= 0; i, cur = i-1, f.prev[cur] {
+		p[i] = cur
+	}
+	f.path = p
+	return p
 }
 
 // MaxPower returns the network power with everything on, useful for

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -160,6 +161,34 @@ func TestShortestActivePath(t *testing.T) {
 	self := a.ShortestActivePath(n[0], n[0])
 	if len(self) != 1 {
 		t.Fatal("self path")
+	}
+}
+
+// TestPathFinderReuse: one PathFinder answers a run of searches exactly as
+// a fresh search each time (the diamond's two branches switched on and off
+// in turn, a dead subnet, the self path), and once its buffers have grown
+// a search allocates nothing.
+func TestPathFinderReuse(t *testing.T) {
+	g, n := diamond(t)
+	var f PathFinder
+	for i := 0; i < 8; i++ {
+		a := NewActiveSet(g)
+		a.SetNode(n[2+i%2], false)
+		if i%4 == 3 {
+			a.SetNode(n[2], false)
+		}
+		a.Normalize()
+		for _, end := range []NodeID{n[5], n[0], n[4]} {
+			want := a.ShortestActivePath(n[0], end)
+			got := f.ShortestActivePath(a, n[0], end)
+			if !slices.Equal(got, want) || (got == nil) != (want == nil) {
+				t.Fatalf("search %d to %d: reused finder gives %v, fresh search %v", i, end, got, want)
+			}
+		}
+	}
+	a := NewActiveSet(g)
+	if allocs := testing.AllocsPerRun(100, func() { f.ShortestActivePath(a, n[0], n[5]) }); allocs != 0 {
+		t.Errorf("warm PathFinder search allocates %.1f, want 0", allocs)
 	}
 }
 
