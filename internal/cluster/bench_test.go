@@ -1,10 +1,6 @@
 package cluster
 
-import (
-	"testing"
-
-	"eprons/internal/metrics"
-)
+import "testing"
 
 // BenchmarkClusterQuery times one query's submit + drain cycle on a warm
 // cluster: the sub-query lifecycle from send to reply, with the query,
@@ -12,9 +8,10 @@ import (
 // the 15-ISN fan-out of the 16-host cell; replica-r3-hedged is
 // hedgedFaultCycle, whose cycle runs failover, hedging, timeouts and
 // retries. Two hundred cycles before the timer grow the pools, the engine
-// and the sample buffers to their peak, and every cycle empties the latency
-// samples (keeping their buffers), so B/op and allocs/op count what a
-// cycle allocates and do not depend on b.N.
+// and the sample buffers to their peak, and every cycle empties the two
+// sample-keeping latency trackers and the hedge RTT quantile (keeping
+// their buffers), so B/op and allocs/op count what a cycle allocates and
+// do not depend on b.N.
 func BenchmarkClusterQuery(b *testing.B) {
 	b.Run("broadcast", func(b *testing.B) {
 		c, eng, _, _ := buildWith(b, nil)
@@ -32,13 +29,8 @@ func BenchmarkClusterQuery(b *testing.B) {
 
 func benchCycles(b *testing.B, c *Cluster, cycle func()) {
 	reset := func() {
-		for _, t := range [...]*metrics.Tracker{&c.stats.QueryLatency, &c.stats.NetReqLat,
-			&c.stats.NetReplyLat, &c.stats.ServerLat, &c.stats.SlackGranted} {
-			t.Reset()
-		}
-		for _, srv := range c.srvs {
-			srv.Stats().ServerLatency.Reset()
-		}
+		c.stats.QueryLatency.Reset()
+		c.stats.NetReqLat.Reset()
 		c.rtt.Reset()
 	}
 	for i := 0; i < 200; i++ {

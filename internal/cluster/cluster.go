@@ -46,6 +46,12 @@ import (
 	"eprons/internal/topology"
 )
 
+// subQueryBytes and replyBytes size the two message types.
+const (
+	subQueryBytes = 1500
+	replyBytes    = 6000
+)
+
 // Config parameterizes the search cluster.
 type Config struct {
 	// ServiceDist is the sub-query base service-time distribution at fmax.
@@ -72,10 +78,6 @@ type Config struct {
 	// compute slack", §I). EPRONS's conservative default reserves the
 	// reply direction's share.
 	FullBudgetSlack bool
-	// SubQueryBytes and ReplyBytes size the two message types
-	// (defaults 1500 and 6000).
-	SubQueryBytes int
-	ReplyBytes    int
 	// PolicyFactory builds the DVFS policy per (host, core).
 	PolicyFactory func(host, core int) server.Policy
 	// Seed drives aggregator choice.
@@ -149,8 +151,6 @@ func DefaultConfig(d *dist.Discrete, factory func(host, core int) server.Policy)
 		NetworkBudget:     5e-3,
 		RequestBudgetFrac: 0.5,
 		UseSlack:          true,
-		SubQueryBytes:     1500,
-		ReplyBytes:        6000,
 		PolicyFactory:     factory,
 		Seed:              1,
 	}
@@ -168,12 +168,6 @@ func (c *Config) fill() error {
 	}
 	if c.RequestBudgetFrac <= 0 || c.RequestBudgetFrac > 1 {
 		c.RequestBudgetFrac = 0.5
-	}
-	if c.SubQueryBytes <= 0 {
-		c.SubQueryBytes = 1500
-	}
-	if c.ReplyBytes <= 0 {
-		c.ReplyBytes = 6000
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -211,8 +205,11 @@ func (c *Config) fill() error {
 	return nil
 }
 
-// Stats aggregates query-level results. The accounting identity (the
-// conservation identity the audit mode asserts) is
+// Stats aggregates query-level results. Only the two latencies whose tails
+// are read (QueryLatency and NetReqLat) keep their samples; the
+// per-sub-query breakdown that is only ever averaged keeps a count and a
+// sum. The accounting identity (the conservation identity the drain-point
+// audit asserts on every robustness cell) is
 //
 //	QueriesSubmitted = Queries + QueriesLost + QueriesShed + Orphans()
 //
@@ -231,9 +228,9 @@ type Stats struct {
 	// are the honest denominator share that used to silently vanish.
 	QueriesLost  int
 	NetReqLat    metrics.Tracker // per-sub-query request network latency
-	NetReplyLat  metrics.Tracker // per-sub-query reply network latency
-	ServerLat    metrics.Tracker // per-sub-query server time (queue + service)
-	SlackGranted metrics.Tracker // per-sub-query slack handed to the server
+	NetReplyLat  metrics.Sum     // per-sub-query reply network latency
+	ServerLat    metrics.Sum     // per-sub-query server time (queue + service)
+	SlackGranted metrics.Sum     // per-sub-query slack handed to the server
 	// DroppedSub counts dropped sub-query messages (request or reply), at
 	// most once per message.
 	DroppedSub int
@@ -297,13 +294,6 @@ func (s *Stats) Goodput() float64 {
 		return 0
 	}
 	return float64(s.Queries) / float64(s.QueriesSubmitted)
-}
-
-// BreakdownMeans returns the mean per-sub-query latency decomposition
-// (request network, server, reply network) — where each millisecond of a
-// query's life went.
-func (s *Stats) BreakdownMeans() (reqS, serverS, replyS float64) {
-	return s.NetReqLat.Mean(), s.ServerLat.Mean(), s.NetReplyLat.Mean()
 }
 
 // Cluster wires hosts, servers and the network.
@@ -447,7 +437,7 @@ func (c *Cluster) PairFlows(demandBps float64) []flow.Flow {
 // which i is the aggregator (probability 1/len(hosts)).
 func (c *Cluster) QueryDemandBps(queriesPerSec float64) float64 {
 	perPair := queriesPerSec / float64(len(c.hosts))
-	return perPair * float64(c.Cfg.SubQueryBytes+c.Cfg.ReplyBytes) * 8
+	return perPair * float64(subQueryBytes+replyBytes) * 8
 }
 
 // InstallShortestRoutes installs shortest active paths for every ordered
@@ -476,44 +466,6 @@ func (c *Cluster) Servers() []*server.Server { return c.srvs }
 
 // Stats returns aggregate query statistics.
 func (c *Cluster) Stats() *Stats { return &c.stats }
-
-// StatsInto snapshots the aggregate query statistics into out and returns
-// it (a nil out allocates one). The counters copy by value and each
-// latency tracker copies via metrics.Tracker.CopyInto, reusing out's
-// sample buffers — a periodic poller that snapshots into a retained Stats
-// allocates nothing once the buffers reach their high-water mark. Unlike
-// the pointer Stats() returns, the snapshot is decoupled from the live
-// accounting, so a monitor can quantile-query it while the simulation
-// keeps adding samples.
-func (c *Cluster) StatsInto(out *Stats) *Stats {
-	if out == nil {
-		out = &Stats{}
-	}
-	s := &c.stats
-	// Copy the trackers buffer-reusingly first, then overwrite every
-	// scalar field by value.
-	s.QueryLatency.CopyInto(&out.QueryLatency)
-	s.NetReqLat.CopyInto(&out.NetReqLat)
-	s.NetReplyLat.CopyInto(&out.NetReplyLat)
-	s.ServerLat.CopyInto(&out.ServerLat)
-	s.SlackGranted.CopyInto(&out.SlackGranted)
-	out.QueriesSubmitted = s.QueriesSubmitted
-	out.Queries = s.Queries
-	out.SLAMisses = s.SLAMisses
-	out.QueriesLost = s.QueriesLost
-	out.DroppedSub = s.DroppedSub
-	out.Retries = s.Retries
-	out.Timeouts = s.Timeouts
-	out.QueriesShed = s.QueriesShed
-	out.RejectedSub = s.RejectedSub
-	out.ShedTransitions = s.ShedTransitions
-	out.SubAttempts = s.SubAttempts
-	out.Failovers = s.Failovers
-	out.Hedges = s.Hedges
-	out.HedgeWins = s.HedgeWins
-	out.HedgeWasted = s.HedgeWasted
-	return out
-}
 
 // Pressure returns the admission pressure signal: the maximum per-server
 // queue length (queued + in service). A partition-aggregate query fans out
@@ -842,7 +794,7 @@ func (c *Cluster) sendAttempt(sq *subQuery, slot int32) {
 		c.onRequestArrived(a, 0)
 		return
 	}
-	c.net.SendMessage(c.FlowID(sq.aggIdx, host), c.Cfg.SubQueryBytes, a.onDelivered, a.onDrop)
+	c.net.SendMessage(c.FlowID(sq.aggIdx, host), subQueryBytes, a.onDelivered, a.onDrop)
 }
 
 // fireHedge launches the duplicate attempt when the hedge timer elapses.
@@ -937,7 +889,7 @@ func (c *Cluster) served(r *server.Request, _ float64) {
 		return
 	}
 	a.reply = true
-	c.net.SendMessage(c.FlowID(a.host, aggIdx), c.Cfg.ReplyBytes, a.onDelivered, a.onDrop)
+	c.net.SendMessage(c.FlowID(a.host, aggIdx), replyBytes, a.onDelivered, a.onDrop)
 }
 
 // onReplyArrived resolves a sub-query whose reply made it back first.

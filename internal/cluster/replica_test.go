@@ -253,7 +253,7 @@ func TestReplicatedDeterministic(t *testing.T) {
 				eng.Schedule(float64(i)*0.5e-3, func() { c.SubmitQuery(func() float64 { return 1e-3 }) })
 			}
 			eng.RunAll()
-			return c.StatsInto(nil)
+			return c.Stats()
 		}
 		a, b := run(), run()
 		if a.Queries != b.Queries || a.SubAttempts != b.SubAttempts ||

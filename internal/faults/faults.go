@@ -302,9 +302,6 @@ func (inj *Injector) apply(ev Event) {
 // NodeDown reports whether a switch is currently failed.
 func (inj *Injector) NodeDown(id topology.NodeID) bool { return inj.downNode[id] }
 
-// LinkDown reports whether a link is currently failed.
-func (inj *Injector) LinkDown(id topology.LinkID) bool { return inj.downLink[id] }
-
 // Down returns the current counts of failed switches and links.
 func (inj *Injector) Down() (nodes, links int) {
 	return len(inj.downNode), len(inj.downLink)

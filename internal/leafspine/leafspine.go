@@ -87,9 +87,6 @@ func New(cfg Config) (*LeafSpine, error) {
 // Topo implements consolidate.Fabric.
 func (ls *LeafSpine) Topo() *topology.Graph { return ls.Graph }
 
-// HostLeaf returns the leaf index of a host.
-func (ls *LeafSpine) HostLeaf(h topology.NodeID) int { return ls.hostLeaf[h] }
-
 // NumSwitches returns the total switch count.
 func (ls *LeafSpine) NumSwitches() int { return len(ls.Leaves) + len(ls.Spines) }
 

@@ -1,7 +1,7 @@
 // Package metrics provides latency and power measurement primitives shared
 // by the simulators and the experiment harnesses: exact percentile trackers,
-// sliding-window tail monitors (the "latency monitor module" on every EPRONS
-// server, paper §IV-C), histograms and time series.
+// count-plus-sum means, sliding-window tail monitors (TimeTrader's feedback
+// loop, the surge signal) and time series.
 package metrics
 
 import (
@@ -44,6 +44,32 @@ func (t *Tracker) Mean() float64 {
 		return 0
 	}
 	return t.sum / float64(len(t.samples))
+}
+
+// Sum accumulates a sample count and running sum: a Tracker for
+// statistics that are only ever averaged, without keeping the samples.
+// Its Mean adds in insertion order exactly as Tracker.Mean does, so the
+// two agree bit for bit on the same stream.
+type Sum struct {
+	n   int
+	sum float64
+}
+
+// Add records one sample.
+func (s *Sum) Add(v float64) {
+	s.n++
+	s.sum += v
+}
+
+// Count returns the number of recorded samples.
+func (s *Sum) Count() int { return s.n }
+
+// Mean returns the sample mean, or 0 with no samples.
+func (s *Sum) Mean() float64 {
+	if s.n == 0 {
+		return 0
+	}
+	return s.sum / float64(s.n)
 }
 
 // ensureSorted brings the retained sorted view up to date: sort the tail
@@ -119,16 +145,6 @@ func (t *Tracker) Reset() {
 	t.samples = t.samples[:0]
 	t.sorted = t.sorted[:0]
 	t.sum = 0
-}
-
-// CopyInto overwrites dst with a snapshot of t's samples and running sum.
-// dst's buffers are reused — a periodic snapshot into a retained Tracker
-// allocates nothing once dst has grown to t's size. The sorted view is
-// rebuilt lazily on dst's first quantile query.
-func (t *Tracker) CopyInto(dst *Tracker) {
-	dst.samples = append(dst.samples[:0], t.samples...)
-	dst.sorted = dst.sorted[:0]
-	dst.sum = t.sum
 }
 
 // RunningQuantile tracks one nearest-rank quantile of a growing sample set
@@ -235,27 +251,25 @@ func (h *minHeap) pop() float64 {
 }
 
 // Window is a sliding-window tail-latency monitor: it retains samples whose
-// timestamp lies within the last Span seconds and answers percentile
+// timestamp lies within the last span seconds and answers percentile
 // queries over that window. TimeTrader's 5-second feedback loop and the
-// EPRONS latency monitor are built on it.
+// surge controller's tail signal are built on it.
 //
-// Eviction runs on every Add and, via the *At query variants, on reads.
-// The legacy Count/Quantile/Mean accessors answer over whatever samples
-// are currently retained — after a quiet gap (no Adds) they can include
-// samples older than Span, so time-driven callers must use EvictBefore or
-// the *At variants to keep the monitor fresh.
+// Every read takes the query time and evicts samples older than span as
+// of then, so a quiet gap (no Adds) never leaves stale samples in an
+// answer.
 type Window struct {
-	Span  float64
+	span  float64
 	times []float64
 	vals  []float64
-	// scratch is the retained sort buffer of Quantile, reused across
+	// scratch is the retained sort buffer of QuantileAtOr, reused across
 	// queries so the per-query copy+sort allocates nothing in steady
 	// state.
 	scratch []float64
 }
 
 // NewWindow returns a monitor spanning span seconds.
-func NewWindow(span float64) *Window { return &Window{Span: span} }
+func NewWindow(span float64) *Window { return &Window{span: span} }
 
 // Add records a sample observed at time now. Samples must arrive in
 // non-decreasing time order (simulation time is monotone).
@@ -265,13 +279,8 @@ func (w *Window) Add(now, v float64) {
 	w.evict(now)
 }
 
-// EvictBefore drops every sample older than Span as of time now. Queries
-// made at a known time should call this (or use the *At variants) so that
-// an idle gap does not leave stale samples in the window.
-func (w *Window) EvictBefore(now float64) { w.evict(now) }
-
 func (w *Window) evict(now float64) {
-	cut := now - w.Span
+	cut := now - w.span
 	i := 0
 	for i < len(w.times) && w.times[i] < cut {
 		i++
@@ -282,92 +291,28 @@ func (w *Window) evict(now float64) {
 	}
 }
 
-// Count returns the number of samples currently retained (as of the last
-// eviction; see CountAt for a time-fresh answer).
-func (w *Window) Count() int { return len(w.vals) }
-
 // CountAt evicts stale samples as of now, then counts.
 func (w *Window) CountAt(now float64) int {
 	w.evict(now)
 	return len(w.vals)
 }
 
-// Quantile returns the nearest-rank quantile over the currently retained
-// samples, or 0 if the window is empty (see QuantileAt for a time-fresh
-// answer).
-func (w *Window) Quantile(q float64) float64 {
-	if len(w.vals) == 0 {
-		return 0
+// QuantileAtOr evicts stale samples as of now, then returns the
+// nearest-rank q-quantile over the rest — or the given sentinel when the
+// window holds no samples or q is not a usable quantile (NaN, or outside
+// (0,1]). Control loops query windows that eviction may have just
+// emptied; a defined sentinel keeps NaN/garbage out of the control
+// decision (pick a sentinel on the safe side of the threshold being
+// tested).
+func (w *Window) QuantileAtOr(now, q, sentinel float64) float64 {
+	w.evict(now)
+	if len(w.vals) == 0 || math.IsNaN(q) || q <= 0 || q > 1 {
+		return sentinel
 	}
 	s := append(w.scratch[:0], w.vals...)
 	sort.Float64s(s)
 	w.scratch = s
-	idx := int(math.Ceil(q*float64(len(s)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return s[idx]
-}
-
-// QuantileAt evicts stale samples as of now, then answers Quantile.
-func (w *Window) QuantileAt(now, q float64) float64 {
-	w.evict(now)
-	return w.Quantile(q)
-}
-
-// Mean returns the mean over the currently retained samples, or 0 if empty
-// (see MeanAt for a time-fresh answer).
-func (w *Window) Mean() float64 {
-	if len(w.vals) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, v := range w.vals {
-		s += v
-	}
-	return s / float64(len(w.vals))
-}
-
-// MeanAt evicts stale samples as of now, then answers Mean.
-func (w *Window) MeanAt(now float64) float64 {
-	w.evict(now)
-	return w.Mean()
-}
-
-// QuantileOr returns the nearest-rank quantile over the retained samples,
-// or the given sentinel when the window holds no samples or q is not a
-// usable quantile (NaN, or outside (0,1]). Surge-control loops query
-// windows that eviction may have just emptied; a defined sentinel keeps
-// NaN/garbage out of the control decision (pick a sentinel on the safe
-// side of the threshold being tested).
-func (w *Window) QuantileOr(q, sentinel float64) float64 {
-	if len(w.vals) == 0 || math.IsNaN(q) || q <= 0 || q > 1 {
-		return sentinel
-	}
-	return w.Quantile(q)
-}
-
-// QuantileAtOr evicts stale samples as of now, then answers QuantileOr.
-// This is the surge-safe accessor: after eviction the window may be empty,
-// and the sentinel (not a stale or NaN value) is what reaches the caller.
-func (w *Window) QuantileAtOr(now, q, sentinel float64) float64 {
-	w.evict(now)
-	return w.QuantileOr(q, sentinel)
-}
-
-// MeanOr returns the mean over the retained samples, or the sentinel when
-// the window is empty.
-func (w *Window) MeanOr(sentinel float64) float64 {
-	if len(w.vals) == 0 {
-		return sentinel
-	}
-	return w.Mean()
-}
-
-// MeanAtOr evicts stale samples as of now, then answers MeanOr.
-func (w *Window) MeanAtOr(now, sentinel float64) float64 {
-	w.evict(now)
-	return w.MeanOr(sentinel)
+	return s[int(math.Ceil(q*float64(len(s))))-1]
 }
 
 // Series records (time, value) pairs, e.g. total system power at one-minute
@@ -424,41 +369,4 @@ func (s *Series) Max() float64 {
 		}
 	}
 	return m
-}
-
-// Histogram counts samples in fixed-width bins over [Lo, Hi); out-of-range
-// samples land in the edge bins.
-type Histogram struct {
-	Lo, Hi float64
-	Bins   []int
-	N      int
-}
-
-// NewHistogram creates a histogram with n bins over [lo,hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if hi <= lo || n <= 0 {
-		panic("metrics: invalid histogram bounds")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Bins: make([]int, n)}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(v float64) {
-	idx := int((v - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Bins)))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(h.Bins) {
-		idx = len(h.Bins) - 1
-	}
-	h.Bins[idx]++
-	h.N++
-}
-
-// Fraction returns the share of samples in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.N == 0 {
-		return 0
-	}
-	return float64(h.Bins[i]) / float64(h.N)
 }

@@ -12,6 +12,10 @@ func TestTrackerBasics(t *testing.T) {
 	if tr.Mean() != 0 || tr.Quantile(0.5) != 0 || tr.Max() != 0 {
 		t.Fatal("empty tracker must return zeros")
 	}
+	var sum Sum
+	if sum.Count() != 0 || sum.Mean() != 0 {
+		t.Fatal("empty sum must return zeros")
+	}
 	for _, v := range []float64{5, 1, 4, 2, 3} {
 		tr.Add(v)
 	}
@@ -51,21 +55,18 @@ func TestWindowEviction(t *testing.T) {
 	w.Add(0, 1)
 	w.Add(1, 2)
 	w.Add(4, 3)
-	if w.Count() != 3 {
-		t.Fatalf("count %d", w.Count())
+	if got := w.CountAt(4); got != 3 {
+		t.Fatalf("count %d", got)
 	}
 	w.Add(6, 4) // evicts t=0
-	if w.Count() != 3 {
-		t.Fatalf("count after eviction %d", w.Count())
+	if got := w.CountAt(6); got != 3 {
+		t.Fatalf("count after eviction %d", got)
 	}
-	if w.Mean() != 3 {
-		t.Fatalf("window mean %g", w.Mean())
+	if got := w.QuantileAtOr(6, 0.5, -1); got != 3 {
+		t.Fatalf("window median %g", got)
 	}
-	if w.Quantile(0.5) != 3 {
-		t.Fatalf("window median %g", w.Quantile(0.5))
-	}
-	if NewWindow(1).Quantile(0.95) != 0 || NewWindow(1).Mean() != 0 {
-		t.Fatal("empty window must return 0")
+	if NewWindow(1).QuantileAtOr(0, 0.95, 0) != 0 || NewWindow(1).CountAt(0) != 0 {
+		t.Fatal("empty window must return the sentinel and count 0")
 	}
 }
 
@@ -82,42 +83,25 @@ func TestSeries(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(-5) // clamps to first bin
-	h.Add(99) // clamps to last bin
-	if h.Bins[0] != 2 || h.Bins[9] != 2 {
-		t.Fatalf("edge bins %d %d", h.Bins[0], h.Bins[9])
-	}
-	if math.Abs(h.Fraction(0)-2.0/12) > 1e-12 {
-		t.Fatalf("fraction %g", h.Fraction(0))
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewHistogram(5, 5, 10)
-}
-
 // Property: Tracker.Quantile agrees with the sorted-slice nearest-rank
-// definition for every q.
+// definition for every q, and a Sum fed the same stream reports the
+// Tracker's count and, bit for bit, its mean. The samples are sevenths,
+// so the running sums round.
 func TestQuickTrackerQuantile(t *testing.T) {
 	f := func(vals []int8, q8 uint8) bool {
 		if len(vals) == 0 {
 			return true
 		}
 		var tr Tracker
+		var sum Sum
 		fs := make([]float64, len(vals))
 		for i, v := range vals {
-			fs[i] = float64(v)
-			tr.Add(float64(v))
+			fs[i] = float64(v) / 7
+			tr.Add(fs[i])
+			sum.Add(fs[i])
+		}
+		if sum.Count() != tr.Count() || math.Float64bits(sum.Mean()) != math.Float64bits(tr.Mean()) {
+			return false
 		}
 		sort.Float64s(fs)
 		q := (float64(q8%100) + 1) / 100
@@ -144,7 +128,8 @@ func TestQuickWindowQuantileMonotone(t *testing.T) {
 		if qa > qb {
 			qa, qb = qb, qa
 		}
-		return w.Quantile(qa) <= w.Quantile(qb)
+		now := float64(len(vals))
+		return w.QuantileAtOr(now, qa, 0) <= w.QuantileAtOr(now, qb, 0)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

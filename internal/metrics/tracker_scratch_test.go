@@ -28,10 +28,13 @@ func refQuantile(samples []float64, q float64) float64 {
 
 // TestTrackerIncrementalSortEquivalence interleaves adds and quantile
 // queries and pins the incremental merge against the copy+sort reference,
-// including duplicate values, descending runs and the max accessor.
+// including duplicate values, descending runs and the max accessor. A Sum
+// fed the same stream must report the Tracker's count and mean bit for
+// bit.
 func TestTrackerIncrementalSortEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	var tr Tracker
+	var sum Sum
 	var ref []float64
 	qs := []float64{0.01, 0.25, 0.5, 0.95, 0.99, 1.0}
 	for step := 0; step < 400; step++ {
@@ -47,7 +50,11 @@ func TestTrackerIncrementalSortEquivalence(t *testing.T) {
 				v = -r.Float64() * float64(step+1) // descending-ish runs
 			}
 			tr.Add(v)
+			sum.Add(v)
 			ref = append(ref, v)
+		}
+		if sum.Count() != tr.Count() || math.Float64bits(sum.Mean()) != math.Float64bits(tr.Mean()) {
+			t.Fatalf("step %d: Sum count/mean %d/%g, Tracker %d/%g", step, sum.Count(), sum.Mean(), tr.Count(), tr.Mean())
 		}
 		q := qs[step%len(qs)]
 		if got, want := tr.Quantile(q), refQuantile(ref, q); got != want {
@@ -58,6 +65,7 @@ func TestTrackerIncrementalSortEquivalence(t *testing.T) {
 		}
 		if step%97 == 0 {
 			tr.Reset()
+			sum = Sum{}
 			ref = ref[:0]
 		}
 	}
@@ -92,41 +100,6 @@ func TestTrackerQuantileSteadyStateAllocs(t *testing.T) {
 	_ = x
 }
 
-// TestTrackerCopyInto pins the snapshot semantics: value equality with the
-// source, decoupling from later source adds, and buffer reuse (0 allocs
-// once the destination is warm).
-func TestTrackerCopyInto(t *testing.T) {
-	var src, dst Tracker
-	for i := 0; i < 100; i++ {
-		src.Add(float64(i % 13))
-	}
-	src.CopyInto(&dst)
-	if dst.Count() != src.Count() || dst.Mean() != src.Mean() {
-		t.Fatalf("snapshot count/mean mismatch: %d/%g vs %d/%g", dst.Count(), dst.Mean(), src.Count(), src.Mean())
-	}
-	for _, q := range []float64{0.1, 0.5, 0.9, 1.0} {
-		if dst.Quantile(q) != src.Quantile(q) {
-			t.Fatalf("snapshot Quantile(%.1f) diverges", q)
-		}
-	}
-	// Decoupled: adding to src must not move the snapshot.
-	before := dst.Quantile(1.0)
-	src.Add(1e9)
-	if dst.Quantile(1.0) != before {
-		t.Fatal("snapshot coupled to source after CopyInto")
-	}
-	// Warm destination: repeated snapshots allocate nothing.
-	src.CopyInto(&dst)
-	dst.Quantile(0.5)
-	allocs := testing.AllocsPerRun(50, func() {
-		src.CopyInto(&dst)
-		dst.Quantile(0.95)
-	})
-	if allocs != 0 {
-		t.Fatalf("warm CopyInto+Quantile allocates %.1f/op, want 0", allocs)
-	}
-}
-
 // TestWindowQuantileScratchReuse: the sliding-window monitor's per-query
 // sort runs on a retained scratch buffer — equivalence with the reference
 // plus 0 steady-state allocs.
@@ -138,13 +111,13 @@ func TestWindowQuantileScratchReuse(t *testing.T) {
 		now += 0.01
 		w.Add(now, r.Float64())
 	}
-	if got, want := w.Quantile(0.95), refQuantile(w.vals, 0.95); got != want {
+	if got, want := w.QuantileAtOr(now, 0.95, -1), refQuantile(w.vals, 0.95); got != want {
 		t.Fatalf("window quantile %g, want %g", got, want)
 	}
 	var x float64
 	allocs := testing.AllocsPerRun(100, func() {
-		x += w.Quantile(0.95)
-		x += w.Quantile(0.5)
+		x += w.QuantileAtOr(now, 0.95, -1)
+		x += w.QuantileAtOr(now, 0.5, -1)
 	})
 	if allocs != 0 {
 		t.Fatalf("warm window quantile allocates %.1f/op, want 0", allocs)

@@ -5,24 +5,18 @@ import (
 	"testing"
 )
 
-// The *Or accessors exist so that control loops polling a window never see
-// NaN or a meaningless zero: an empty (or just-evicted) window returns the
+// QuantileAtOr exists so that control loops polling a window never see NaN
+// or a meaningless zero: an empty (or just-evicted) window returns the
 // caller's sentinel instead.
 
 func TestQuantileOrEmptyWindow(t *testing.T) {
 	w := NewWindow(1)
-	if got := w.QuantileOr(0.99, -7); got != -7 {
-		t.Fatalf("empty window QuantileOr = %g, want sentinel", got)
-	}
-	if got := w.MeanOr(-7); got != -7 {
-		t.Fatalf("empty window MeanOr = %g, want sentinel", got)
+	if got := w.QuantileAtOr(0, 0.99, -7); got != -7 {
+		t.Fatalf("empty window QuantileAtOr = %g, want sentinel", got)
 	}
 	w.Add(0, 5)
-	if got := w.QuantileOr(0.99, -7); got != 5 {
-		t.Fatalf("QuantileOr = %g, want 5", got)
-	}
-	if got := w.MeanOr(-7); got != 5 {
-		t.Fatalf("MeanOr = %g, want 5", got)
+	if got := w.QuantileAtOr(0, 0.99, -7); got != 5 {
+		t.Fatalf("QuantileAtOr = %g, want 5", got)
 	}
 }
 
@@ -34,11 +28,8 @@ func TestQuantileAtOrEvictedWindow(t *testing.T) {
 	if got := w.QuantileAtOr(10, 0.99, -7); got != -7 {
 		t.Fatalf("evicted window QuantileAtOr = %g, want sentinel", got)
 	}
-	if got := w.MeanAtOr(10, -7); got != -7 {
-		t.Fatalf("evicted window MeanAtOr = %g, want sentinel", got)
-	}
-	if w.Count() != 0 {
-		t.Fatalf("eviction left %d samples", w.Count())
+	if n := len(w.vals); n != 0 {
+		t.Fatalf("eviction left %d samples", n)
 	}
 }
 
@@ -46,13 +37,13 @@ func TestQuantileOrRejectsBadQuantiles(t *testing.T) {
 	w := NewWindow(1)
 	w.Add(0, 5)
 	for _, q := range []float64{math.NaN(), 0, -0.5, 1.0001, math.Inf(1)} {
-		if got := w.QuantileOr(q, -7); got != -7 {
-			t.Fatalf("QuantileOr(%g) = %g, want sentinel", q, got)
+		if got := w.QuantileAtOr(0, q, -7); got != -7 {
+			t.Fatalf("QuantileAtOr(%g) = %g, want sentinel", q, got)
 		}
 	}
 	// q = 1 is the maximum — a valid quantile.
-	if got := w.QuantileOr(1, -7); got != 5 {
-		t.Fatalf("QuantileOr(1) = %g, want 5", got)
+	if got := w.QuantileAtOr(0, 1, -7); got != 5 {
+		t.Fatalf("QuantileAtOr(1) = %g, want 5", got)
 	}
 }
 
@@ -63,9 +54,8 @@ func TestGuardedAccessorsNeverNaN(t *testing.T) {
 		w.Add(now, float64(i))
 		for _, got := range []float64{
 			w.QuantileAtOr(now, 0.95, 0),
-			w.MeanAtOr(now, 0),
+			w.QuantileAtOr(now, math.NaN(), 0),
 			w.QuantileAtOr(now+5, 0.95, 0), // evicts everything
-			w.MeanAtOr(now+5, 0),
 		} {
 			if math.IsNaN(got) {
 				t.Fatalf("guarded accessor returned NaN at step %d", i)

@@ -7,7 +7,7 @@ package netsim
 // — yet on an uncongested route their contribution to link busy-time is
 // analytically a constant rate. This file folds such flows into per-link
 // rate reservations: while every directed link on a source's route is
-// below the knee (Cfg.FluidKneeFrac of capacity), the source emits no
+// below the knee (fluidKneeFrac of capacity), the source emits no
 // packet events at all; its bytes accrue analytically into the same
 // counters the packet path feeds (flowBytes, per-direction link bytes,
 // Offered/CarriedBytes) and foreground packets on shared links transmit at
@@ -56,10 +56,21 @@ import (
 	"eprons/internal/topology"
 )
 
-// fluidPromoteFrac is the hysteresis band: a demoted direction promotes
-// back to fluid service only when its offered rate falls to this fraction
-// of the knee.
-const fluidPromoteFrac = 0.9
+const (
+	// fluidKneeFrac is the demotion threshold as a fraction of link
+	// capacity; below 1, so the residual capacity foreground packets see
+	// stays strictly positive.
+	fluidKneeFrac = 0.8
+	// fluidPromoteFrac is the hysteresis band: a demoted direction
+	// promotes back to fluid service only when its offered rate falls to
+	// this fraction of the knee.
+	fluidPromoteFrac = 0.9
+	// fluidUpdateS is the period of the fluid reevaluation tick that
+	// re-polls source rates and re-applies knee demotion/promotion: the
+	// same 10 ms cadence at which a paused packet-mode source re-polls
+	// its rate callback.
+	fluidUpdateS = 10e-3
+)
 
 // fluidSource is one StartBackground source managed by the hybrid engine.
 type fluidSource struct {
@@ -146,7 +157,7 @@ func (n *Network) startFluidBackgrounds(bs []*Background, specs []BackgroundSpec
 				return
 			}
 			n.fluidReevaluate()
-			n.eng.After(n.Cfg.FluidUpdateS, f.onTick)
+			n.eng.After(fluidUpdateS, f.onTick)
 		}
 		n.fluid = f
 	}
@@ -166,7 +177,7 @@ func (n *Network) startFluidBackgrounds(bs []*Background, specs []BackgroundSpec
 			// Armed where a lone registration would arm it, so a zero-rate
 			// source's 10 ms re-poll orders against the tick the same way.
 			f.tickArmed = true
-			n.eng.After(n.Cfg.FluidUpdateS, f.onTick)
+			n.eng.After(fluidUpdateS, f.onTick)
 		}
 	}
 }
@@ -374,7 +385,7 @@ func (n *Network) fluidReevaluate() {
 	// promoted here has offered ≤ 0.9×knee, so it cannot also demote.
 	kept := f.demoted[:0]
 	for _, d := range f.demoted {
-		knee := n.Cfg.FluidKneeFrac * n.dirCap[d]
+		knee := fluidKneeFrac * n.dirCap[d]
 		if f.offered[d] <= fluidPromoteFrac*knee {
 			n.links[d].demoted = false
 			n.FluidPromotions++
@@ -385,7 +396,7 @@ func (n *Network) fluidReevaluate() {
 	f.demoted = kept
 	for _, d := range f.touched {
 		ls := &n.links[d]
-		if !ls.demoted && f.offered[d] > n.Cfg.FluidKneeFrac*n.dirCap[d] {
+		if !ls.demoted && f.offered[d] > fluidKneeFrac*n.dirCap[d] {
 			ls.demoted = true
 			n.FluidDemotions++
 			f.demoted = append(f.demoted, d)

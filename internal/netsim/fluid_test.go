@@ -42,8 +42,8 @@ func TestFluidUtilizationMatchesPacket(t *testing.T) {
 	bp.Stop()
 	bf.Stop()
 
-	up := netP.LinkUtilization(durS)
-	uf := netF.LinkUtilization(durS)
+	up := netP.LinkUtilizationInto(nil, durS)
+	uf := netF.LinkUtilizationInto(nil, durS)
 	if len(uf) != len(up) {
 		t.Fatalf("link sets differ: packet %d fluid %d", len(up), len(uf))
 	}
@@ -57,8 +57,8 @@ func TestFluidUtilizationMatchesPacket(t *testing.T) {
 		}
 	}
 	// Per-flow rate view the controller polls must agree too.
-	rp := netP.FlowRates(durS)[1]
-	rf := netF.FlowRates(durS)[1]
+	rp := netP.FlowRatesInto(nil, durS)[1]
+	rf := netF.FlowRatesInto(nil, durS)[1]
 	if math.Abs(rf-rp) > 0.02*util*1e9 {
 		t.Errorf("flow rate: packet %.0f fluid %.0f", rp, rf)
 	}
@@ -119,8 +119,8 @@ func TestFluidDemotionExactAtKnee(t *testing.T) {
 		t.Errorf("byte counters differ: fluid %d/%d packet %d/%d",
 			netF.CarriedBytes, netF.OfferedBytes, netP.CarriedBytes, netP.OfferedBytes)
 	}
-	bpB := netP.LinkBytes()
-	bfB := netF.LinkBytes()
+	bpB := netP.LinkBytesInto(nil)
+	bfB := netF.LinkBytesInto(nil)
 	for lid, b := range bpB {
 		if bfB[lid] != b {
 			t.Errorf("link %d bytes differ: fluid %d packet %d", lid, bfB[lid], b)
@@ -316,7 +316,7 @@ func checkFluidDense(t *testing.T, n *Network) {
 	demoted := make([]bool, nd)
 	var dem, prom int64
 	for d := range demoted {
-		knee := n.Cfg.FluidKneeFrac * n.dirCap[d]
+		knee := fluidKneeFrac * n.dirCap[d]
 		demoted[d] = prevDemoted[d]
 		if !prevDemoted[d] && offered[d] > knee {
 			demoted[d] = true
@@ -502,8 +502,8 @@ func FuzzFluidPromoteDemote(f *testing.F) {
 		// Invariant: reservations bounded by the knee, none on demoted dirs.
 		for di := range n.links {
 			ls := &n.links[di]
-			if ls.fluidBps > n.Cfg.FluidKneeFrac*n.dirCap[di]+1e-6 {
-				t.Fatalf("dir %d reservation %.3g exceeds knee %.3g", di, ls.fluidBps, n.Cfg.FluidKneeFrac*n.dirCap[di])
+			if ls.fluidBps > fluidKneeFrac*n.dirCap[di]+1e-6 {
+				t.Fatalf("dir %d reservation %.3g exceeds knee %.3g", di, ls.fluidBps, fluidKneeFrac*n.dirCap[di])
 			}
 			if ls.demoted && ls.fluidBps != 0 {
 				t.Fatalf("dir %d demoted but holds reservation %.3g", di, ls.fluidBps)

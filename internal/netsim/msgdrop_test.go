@@ -100,7 +100,7 @@ func TestHopZeroDropNotCountedAsCarried(t *testing.T) {
 
 	n.SendMessage(1, 6000, nil, nil)
 	eng.RunAll()
-	if got := n.FlowRates(1.0)[1]; got != 0 {
+	if got := n.FlowRatesInto(nil, 1.0)[1]; got != 0 {
 		t.Fatalf("flow rate %g for traffic dropped at hop 0, want 0", got)
 	}
 	if n.MsgDropped != 1 {
@@ -126,10 +126,10 @@ func TestCarriedBytesMatchAcrossQueueModes(t *testing.T) {
 		n.SendMessage(1, 3000, nil, nil)
 		eng.Run(1e-6) // first packet still serializing, second queued
 		lid, _ := g.FindLink(h0, 1)
-		if got := n.LinkBytes()[lid]; got != 3000 {
+		if got := n.LinkBytesInto(nil)[lid]; got != 3000 {
 			t.Fatalf("pq=%v: first-hop bytes %d at enqueue, want 3000", pq, got)
 		}
-		if got := n.FlowRates(1.0)[1]; got != 3000*8 {
+		if got := n.FlowRatesInto(nil, 1.0)[1]; got != 3000*8 {
 			t.Fatalf("pq=%v: flow rate %g, want %g", pq, got, 3000.0*8)
 		}
 	}

@@ -78,22 +78,12 @@ type Config struct {
 	// is folded into an analytic per-link rate reservation (foreground
 	// packets transmit at the residual capacity) instead of being
 	// simulated packet by packet. Links whose total offered background
-	// rate crosses FluidKneeFrac of capacity demote to packet mode so
+	// rate crosses the knee (80% of capacity) demote to packet mode so
 	// drop/contention semantics near saturation are unchanged. Off by
 	// default — with it off, simulation output is bit-identical to the
 	// pre-fluid implementation. Ignored under PriorityQueueing (the QoS
 	// ablation is packet-exact by construction).
 	FluidBackground bool
-	// FluidKneeFrac is the demotion threshold as a fraction of link
-	// capacity (default 0.8, clamped to at most 0.95 so the residual
-	// capacity seen by foreground packets stays strictly positive).
-	// Promotion back to fluid mode uses a 0.9×knee hysteresis band.
-	FluidKneeFrac float64
-	// FluidUpdateS is the period of the fluid reevaluation tick that
-	// re-polls source rates and re-applies knee demotion/promotion
-	// (default 10 ms — the same cadence at which a paused packet-mode
-	// source re-polls its rate callback).
-	FluidUpdateS float64
 }
 
 // DefaultConfig returns MiniNet-like defaults.
@@ -107,15 +97,6 @@ func (c *Config) fill() {
 	}
 	if c.HopDelay < 0 {
 		c.HopDelay = 0
-	}
-	if c.FluidKneeFrac <= 0 {
-		c.FluidKneeFrac = 0.8
-	}
-	if c.FluidKneeFrac > 0.95 {
-		c.FluidKneeFrac = 0.95
-	}
-	if c.FluidUpdateS <= 0 {
-		c.FluidUpdateS = 10e-3
 	}
 }
 
@@ -965,16 +946,10 @@ func (n *Network) launchBackground(fid flow.ID) {
 	}
 }
 
-// LinkBytes returns forwarded bytes per directed link since the last
-// ResetStats, keyed by link ID with both directions summed. It allocates a
-// fresh map; periodic pollers should use LinkBytesInto with a scratch map.
-func (n *Network) LinkBytes() map[topology.LinkID]int64 {
-	return n.LinkBytesInto(nil)
-}
-
-// LinkBytesInto is the reuse variant of LinkBytes: out is cleared and
-// refilled (a nil out allocates one). The controller's 2 s stats pull calls
-// this every epoch; with a retained scratch map the poll allocates nothing.
+// LinkBytesInto returns forwarded bytes per directed link since the last
+// ResetStats in out, keyed by link ID with both directions summed. out is
+// cleared and refilled (a nil out allocates one); a periodic poller that
+// keeps its map allocates nothing.
 func (n *Network) LinkBytesInto(out map[topology.LinkID]int64) map[topology.LinkID]int64 {
 	if out == nil {
 		out = make(map[topology.LinkID]int64)
@@ -990,16 +965,10 @@ func (n *Network) LinkBytesInto(out map[topology.LinkID]int64) map[topology.Link
 	return out
 }
 
-// LinkUtilization returns per-link utilization over the window seconds
-// since the last ResetStats, using the busier direction (utilization is
-// per-direction in a full-duplex link). It allocates a fresh map; periodic
-// pollers should use LinkUtilizationInto with a scratch map.
-func (n *Network) LinkUtilization(window float64) map[topology.LinkID]float64 {
-	return n.LinkUtilizationInto(nil, window)
-}
-
-// LinkUtilizationInto is the reuse variant of LinkUtilization: out is
-// cleared and refilled (a nil out allocates one).
+// LinkUtilizationInto returns per-link utilization over the window seconds
+// since the last ResetStats in out, using the busier direction
+// (utilization is per-direction in a full-duplex link). out is cleared and
+// refilled (a nil out allocates one).
 func (n *Network) LinkUtilizationInto(out map[topology.LinkID]float64, window float64) map[topology.LinkID]float64 {
 	if out == nil {
 		out = make(map[topology.LinkID]float64)
@@ -1024,15 +993,10 @@ func (n *Network) LinkUtilizationInto(out map[topology.LinkID]float64, window fl
 	return out
 }
 
-// FlowRates returns per-flow offered rates in bits per second over the
-// window seconds since the last ResetStats. It allocates a fresh map;
-// periodic pollers should use FlowRatesInto with a scratch map.
-func (n *Network) FlowRates(window float64) map[flow.ID]float64 {
-	return n.FlowRatesInto(nil, window)
-}
-
-// FlowRatesInto is the reuse variant of FlowRates: out is cleared and
-// refilled (a nil out allocates one).
+// FlowRatesInto returns per-flow offered rates in bits per second over the
+// window seconds since the last ResetStats in out. out is cleared and
+// refilled (a nil out allocates one); the controller's 2 s stats pull
+// keeps one map across epochs.
 func (n *Network) FlowRatesInto(out map[flow.ID]float64, window float64) map[flow.ID]float64 {
 	if out == nil {
 		out = make(map[flow.ID]float64)

@@ -174,19 +174,19 @@ func TestLinkUtilizationMeasurement(t *testing.T) {
 	b := n.StartBackground(2, func() float64 { return 300e6 }, stream)
 	eng.Run(2)
 	b.Stop()
-	utils := n.LinkUtilization(2)
+	utils := n.LinkUtilizationInto(nil, 2)
 	lid, _ := g.FindLink(h0, 1)
 	if u := utils[lid]; math.Abs(u-0.3) > 0.03 {
 		t.Fatalf("measured utilization %.3f, want ~0.30", u)
 	}
-	if len(n.LinkBytes()) == 0 {
+	if len(n.LinkBytesInto(nil)) == 0 {
 		t.Fatal("no bytes recorded")
 	}
 	n.ResetStats()
-	if len(n.LinkBytes()) != 0 {
+	if len(n.LinkBytesInto(nil)) != 0 {
 		t.Fatal("reset did not clear counters")
 	}
-	if len(n.LinkUtilization(0)) != 0 {
+	if len(n.LinkUtilizationInto(nil, 0)) != 0 {
 		t.Fatal("zero window must return empty map")
 	}
 }
@@ -199,17 +199,17 @@ func TestBackgroundStopAndZeroRate(t *testing.T) {
 	rate := 100e6
 	b := n.StartBackground(2, func() float64 { return rate }, rng.New(3))
 	eng.Run(1)
-	before := n.LinkBytes()[0]
+	before := n.LinkBytesInto(nil)[0]
 	if before == 0 {
 		t.Fatal("background sent nothing")
 	}
 	rate = 0 // paused source must survive and send nothing
 	eng.Run(2)
-	mid := n.LinkBytes()[0]
+	mid := n.LinkBytesInto(nil)[0]
 	rate = 100e6
 	b.Stop()
 	eng.Run(3)
-	after := n.LinkBytes()[0]
+	after := n.LinkBytesInto(nil)[0]
 	if after != mid {
 		t.Fatalf("stopped background still sending: %d → %d", mid, after)
 	}

@@ -68,9 +68,9 @@ func TestUtilizationIsPerDirection(t *testing.T) {
 	b := n.StartBackground(1, func() float64 { return 400e6 }, rng.New(2))
 	eng.Run(1)
 	b.Stop()
-	// LinkUtilization reports the busier direction: ~0.4, not 0.8 (which
+	// LinkUtilizationInto reports the busier direction: ~0.4, not 0.8 (which
 	// double-counting directions would give) and not 0.2 (averaging).
-	u := n.LinkUtilization(1)
+	u := n.LinkUtilizationInto(nil, 1)
 	lid, _ := g.FindLink(h0, 1)
 	if u[lid] < 0.33 || u[lid] > 0.47 {
 		t.Fatalf("utilization %.3f, want ~0.40", u[lid])
@@ -85,15 +85,15 @@ func TestFlowRates(t *testing.T) {
 	b := n.StartBackground(7, func() float64 { return 250e6 }, rng.New(9))
 	eng.Run(2)
 	b.Stop()
-	rates := n.FlowRates(2)
+	rates := n.FlowRatesInto(nil, 2)
 	if r := rates[7]; r < 200e6 || r > 300e6 {
 		t.Fatalf("flow rate %.0f, want ~250e6", r)
 	}
-	if len(n.FlowRates(0)) != 0 {
+	if len(n.FlowRatesInto(nil, 0)) != 0 {
 		t.Fatal("zero window must return empty")
 	}
 	n.ResetStats()
-	if len(n.FlowRates(1)) != 0 {
+	if len(n.FlowRatesInto(nil, 1)) != 0 {
 		t.Fatal("reset did not clear flow counters")
 	}
 }
@@ -161,7 +161,7 @@ func TestFiniteBufferTailDrop(t *testing.T) {
 	// Delivered rate is capped at link capacity: forwarded bytes on the
 	// egress cannot exceed capacity*time.
 	egress, _ := n.Graph().FindLink(1, 2)
-	bytes := n.LinkBytes()[egress]
+	bytes := n.LinkBytesInto(nil)[egress]
 	if float64(bytes) > 1e9/8*0.55 {
 		t.Fatalf("egress moved %d bytes, above capacity", bytes)
 	}

@@ -52,7 +52,7 @@ func TestMidFlightDownstreamDeactivationDrops(t *testing.T) {
 	}
 	// The two links behind the drop point carried the packet; the dead
 	// one and the one after it did not.
-	lb := n.LinkBytes()
+	lb := n.LinkBytesInto(nil)
 	for lid, wantB := range map[topology.LinkID]int64{0: 1500, 1: 1500, 2: 0, 3: 0} {
 		if lb[lid] != wantB {
 			t.Errorf("link %d bytes = %d, want %d", lid, lb[lid], wantB)
@@ -145,7 +145,7 @@ func TestSetRouteMidFlightKeepsOldPath(t *testing.T) {
 	if !delivered {
 		t.Fatal("message lost across a mid-flight reroute")
 	}
-	lb := n.LinkBytes()
+	lb := n.LinkBytesInto(nil)
 	if lb[lids[0]] != 1500 || lb[lids[1]] != 1500 {
 		t.Errorf("old path did not carry the in-flight packet: %v", lb)
 	}
@@ -155,7 +155,7 @@ func TestSetRouteMidFlightKeepsOldPath(t *testing.T) {
 	// The NEXT message takes the new path.
 	n.SendMessage(1, 1500, nil, nil)
 	eng.RunAll()
-	lb = n.LinkBytes()
+	lb = n.LinkBytesInto(nil)
 	if lb[lids[2]] != 1500 || lb[lids[3]] != 1500 {
 		t.Errorf("post-reroute message did not take the new path: %v", lb)
 	}

@@ -83,7 +83,7 @@ func TestPriorityConservesWork(t *testing.T) {
 	b := n.StartBackground(2, func() float64 { return 400e6 }, rng.New(2))
 	eng.Run(1)
 	b.Stop()
-	u := n.LinkUtilization(1)
+	u := n.LinkUtilizationInto(nil, 1)
 	lid, _ := g.FindLink(h0, 1)
 	if u[lid] < 0.33 || u[lid] > 0.47 {
 		t.Fatalf("background throughput %.3f, want ~0.40", u[lid])

@@ -107,7 +107,7 @@ func TestInstallRoutesSingleReevaluate(t *testing.T) {
 		b1.Stop()
 		b2.Stop()
 		eng.RunAll()
-		return reevals, n.LinkBytes(), n.FlowRates(0.5)
+		return reevals, n.LinkBytesInto(nil), n.FlowRatesInto(nil, 0.5)
 	}
 	perFlowReevals, lbA, ratesA := run(false)
 	batchedReevals, lbB, ratesB := run(true)
@@ -191,7 +191,7 @@ func TestStartStopBackgroundsSingleReevaluate(t *testing.T) {
 			}
 		}
 		eng.RunAll()
-		res.lb, res.rates = n.LinkBytes(), n.FlowRates(0.5)
+		res.lb, res.rates = n.LinkBytesInto(nil), n.FlowRatesInto(nil, 0.5)
 		res.offered, res.carried = n.OfferedBytes, n.CarriedBytes
 		res.demotions, res.promotions = n.FluidDemotions, n.FluidPromotions
 		return res

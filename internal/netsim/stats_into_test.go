@@ -7,60 +7,58 @@ import (
 	"eprons/internal/topology"
 )
 
-// TestStatsIntoVariants pins the reuse contract of the *Into stats pollers:
-// identical contents to the allocating variants, stale keys cleared on
-// refill, and zero allocations once the scratch map exists.
+// TestStatsIntoVariants pins the stats pollers against the raw counters
+// they read: per-direction link bytes summed per link, the busier
+// direction's utilization, per-flow offered rates. It also pins that stale
+// keys are cleared on refill and that polling with retained maps allocates
+// nothing.
 func TestStatsIntoVariants(t *testing.T) {
 	eng, n := benchChain(t, DefaultConfig())
 	n.SendMessage(1, 6000, nil, nil)
 	eng.RunAll()
 
-	wantLB := n.LinkBytes()
-	wantLU := n.LinkUtilization(2)
-	wantFR := n.FlowRates(2)
-	if len(wantLB) == 0 || len(wantLU) == 0 || len(wantFR) == 0 {
-		t.Fatal("expected non-empty stats after traffic")
+	// The raw counters: 6000 bytes on the forward direction of each of the
+	// chain's four links, none on the reverse, and 6000 on flow 1. Each
+	// link's A end is the hop's sender, so forward is the even direction.
+	const window = 2.0
+	for i := range n.links {
+		want := int64(0)
+		if i%2 == 0 {
+			want = 6000
+		}
+		if got := n.links[i].bytes; got != want {
+			t.Fatalf("direction %d carried %d bytes, want %d", i, got, want)
+		}
+	}
+	if len(n.flowBytes) != 1 || n.flowBytes[1] != 6000 {
+		t.Fatalf("flow bytes %v, want flow 1: 6000", n.flowBytes)
 	}
 
 	// Seed the scratch maps with stale garbage that must disappear.
-	lb := map[topology.LinkID]int64{999: 1}
-	lu := map[topology.LinkID]float64{999: 1}
-	fr := map[flow.ID]float64{999: 1}
-	lb = n.LinkBytesInto(lb)
-	lu = n.LinkUtilizationInto(lu, 2)
-	fr = n.FlowRatesInto(fr, 2)
-
-	if len(lb) != len(wantLB) {
-		t.Fatalf("LinkBytesInto kept stale keys: got %d entries, want %d", len(lb), len(wantLB))
+	lb := n.LinkBytesInto(map[topology.LinkID]int64{999: 1})
+	lu := n.LinkUtilizationInto(map[topology.LinkID]float64{999: 1}, window)
+	fr := n.FlowRatesInto(map[flow.ID]float64{999: 1}, window)
+	if len(lb) != 4 || len(lu) != 4 {
+		t.Fatalf("LinkBytesInto/LinkUtilizationInto: %d/%d links, want 4 (stale keys kept?)", len(lb), len(lu))
 	}
-	for k, v := range wantLB {
-		if lb[k] != v {
-			t.Fatalf("LinkBytesInto[%d] = %d, want %d", k, lb[k], v)
+	for lid := topology.LinkID(0); lid < 4; lid++ {
+		if lb[lid] != 6000 {
+			t.Fatalf("LinkBytesInto[%d] = %d, want 6000", lid, lb[lid])
+		}
+		if want := 6000.0 * 8 / window / n.g.Link(lid).CapacityBps; lu[lid] != want {
+			t.Fatalf("LinkUtilizationInto[%d] = %g, want %g", lid, lu[lid], want)
 		}
 	}
-	if len(lu) != len(wantLU) {
-		t.Fatalf("LinkUtilizationInto kept stale keys: got %d, want %d", len(lu), len(wantLU))
-	}
-	for k, v := range wantLU {
-		if lu[k] != v {
-			t.Fatalf("LinkUtilizationInto[%d] = %g, want %g", k, lu[k], v)
-		}
-	}
-	if len(fr) != len(wantFR) {
-		t.Fatalf("FlowRatesInto kept stale keys: got %d, want %d", len(fr), len(wantFR))
-	}
-	for k, v := range wantFR {
-		if fr[k] != v {
-			t.Fatalf("FlowRatesInto[%d] = %g, want %g", k, fr[k], v)
-		}
+	if len(fr) != 1 || fr[1] != 6000.0*8/window {
+		t.Fatalf("FlowRatesInto = %v, want flow 1: %g", fr, 6000.0*8/window)
 	}
 
-	// nil scratch allocates (and matches the allocating variant).
-	if got := n.FlowRatesInto(nil, 2); len(got) != len(wantFR) {
-		t.Fatalf("FlowRatesInto(nil) = %d entries, want %d", len(got), len(wantFR))
+	// A nil map allocates one with the same contents.
+	if got := n.FlowRatesInto(nil, window); len(got) != 1 || got[1] != fr[1] {
+		t.Fatalf("FlowRatesInto(nil) = %v, want %v", got, fr)
 	}
 
-	// Window <= 0 clears and returns empty, like the allocating variants.
+	// Window <= 0 clears and returns empty.
 	if got := n.LinkUtilizationInto(lu, 0); len(got) != 0 {
 		t.Fatalf("LinkUtilizationInto(window=0) = %d entries, want 0", len(got))
 	}
@@ -69,14 +67,14 @@ func TestStatsIntoVariants(t *testing.T) {
 	}
 
 	// Steady-state polling through a retained scratch map is allocation
-	// free (the whole point of the Into variants).
+	// free.
 	lb2 := n.LinkBytesInto(nil)
-	lu2 := n.LinkUtilizationInto(nil, 2)
-	fr2 := n.FlowRatesInto(nil, 2)
+	lu2 := n.LinkUtilizationInto(nil, window)
+	fr2 := n.FlowRatesInto(nil, window)
 	allocs := testing.AllocsPerRun(100, func() {
 		lb2 = n.LinkBytesInto(lb2)
-		lu2 = n.LinkUtilizationInto(lu2, 2)
-		fr2 = n.FlowRatesInto(fr2, 2)
+		lu2 = n.LinkUtilizationInto(lu2, window)
+		fr2 = n.FlowRatesInto(fr2, window)
 	})
 	if allocs != 0 {
 		t.Fatalf("Into pollers allocated %.1f per run, want 0", allocs)

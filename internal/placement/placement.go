@@ -76,7 +76,6 @@ type Placement struct {
 	// replicas[p] lists partition p's replica host indices in ring
 	// (preference) order: replicas[p][0] is the primary.
 	replicas [][]int
-	members  int
 	pods     int
 }
 
@@ -142,7 +141,7 @@ func New(cfg Config) (*Placement, error) {
 		return ring[a].host < ring[b].host
 	})
 
-	pl := &Placement{Cfg: cfg, replicas: make([][]int, cfg.Partitions), members: members, pods: len(podSeen)}
+	pl := &Placement{Cfg: cfg, replicas: make([][]int, cfg.Partitions), pods: len(podSeen)}
 	spreadPods := cfg.Replicas <= len(podSeen)
 	usedHost := make(map[int]bool, cfg.Replicas)
 	usedPod := make(map[int]bool, cfg.Replicas)
@@ -182,12 +181,6 @@ func New(cfg Config) (*Placement, error) {
 
 // Partitions returns P.
 func (pl *Placement) Partitions() int { return pl.Cfg.Partitions }
-
-// ReplicaFactor returns R.
-func (pl *Placement) ReplicaFactor() int { return pl.Cfg.Replicas }
-
-// Members returns the member host count.
-func (pl *Placement) Members() int { return pl.members }
 
 // Replicas returns partition p's replica host indices in preference order
 // (index 0 is the primary). The slice is owned by the placement — callers

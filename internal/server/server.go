@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 
-	"eprons/internal/metrics"
 	"eprons/internal/power"
 	"eprons/internal/sim"
 )
@@ -105,9 +104,8 @@ func Stretch(alpha, fmax, f float64) float64 {
 // Stats aggregates completed-request metrics for a server.
 type Stats struct {
 	Completed       int
-	ServerLatency   metrics.Tracker // queue + service time
-	SlackMisses     int             // finished after SlackDeadline
-	ServerMisses    int             // finished after ServerDeadline
+	SlackMisses     int // finished after SlackDeadline
+	ServerMisses    int // finished after ServerDeadline
 	BusyBaseSeconds float64
 	// Rejected counts requests refused by TryEnqueue at the queue bound
 	// (Config.QueueLimit) — the server-side backstop of admission control.
@@ -477,7 +475,6 @@ func (c *core) complete() {
 
 	st := &c.srv.stats
 	st.Completed++
-	st.ServerLatency.Add(now - r.Arrival)
 	st.BusyBaseSeconds += r.BaseServiceS
 	if now > r.SlackDeadline+1e-12 {
 		st.SlackMisses++
@@ -517,15 +514,6 @@ func (s *Server) SaturationEpochs() int64 {
 	return n
 }
 
-// Policies returns the per-core policy instances (introspection).
-func (s *Server) Policies() []Policy {
-	out := make([]Policy, len(s.cores))
-	for i, c := range s.cores {
-		out[i] = c.policy
-	}
-	return out
-}
-
 // Wakes returns total sleep-state exits across cores.
 func (s *Server) Wakes() int {
 	n := 0
@@ -533,16 +521,6 @@ func (s *Server) Wakes() int {
 		n += c.wakes
 	}
 	return n
-}
-
-// Frequencies returns the current per-core frequency settings (for tests
-// and introspection).
-func (s *Server) Frequencies() []float64 {
-	out := make([]float64, len(s.cores))
-	for i, c := range s.cores {
-		out[i] = c.freq
-	}
-	return out
 }
 
 // MissRate returns the fraction of completed requests that missed their

@@ -213,9 +213,6 @@ func (a *SegmentArena) Seg(s SegID) SegView {
 // Head returns the segment's first node.
 func (a *SegmentArena) Head(s SegID) NodeID { return a.segs[s].head }
 
-// SegLen returns the segment's hop count.
-func (a *SegmentArena) SegLen(s SegID) int { return int(a.segs[s].n) }
-
 // SegEpoch returns the ActiveSet generation the segment's liveness mask
 // was last computed against (0 = never validated).
 func (a *SegmentArena) SegEpoch(s SegID) uint64 { return a.segs[s].epoch }

@@ -226,21 +226,6 @@ type DirHop struct {
 	To   NodeID // node the hop arrives at
 }
 
-// ResolveDirs resolves a path to its per-hop directed-link records. It
-// panics if consecutive nodes are not adjacent, which always indicates a
-// routing bug (same contract as Links/DirLinks).
-func (p Path) ResolveDirs(g *Graph) []DirHop {
-	if len(p) < 2 {
-		return nil
-	}
-	out := make([]DirHop, 0, len(p)-1)
-	for i := 0; i+1 < len(p); i++ {
-		d := g.HopDir(p[i], p[i+1])
-		out = append(out, DirHop{Dir: d, Link: LinkID(d / 2), To: p[i+1]})
-	}
-	return out
-}
-
 // Valid reports whether every consecutive pair of path nodes is adjacent.
 func (p Path) Valid(g *Graph) bool {
 	for i := 0; i+1 < len(p); i++ {

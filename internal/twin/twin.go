@@ -514,24 +514,6 @@ func (m *Model) vpAt(i int, lambda, budget float64) (float64, bool) {
 	return vp, true
 }
 
-// BestAggregation sweeps every aggregation level at one operating point and
-// returns the minimum-total-power feasible level (the Fig 13 inner loop,
-// closed-form). The boolean is false when no level is feasible.
-func (m *Model) BestAggregation(bg, util, totalConstraint float64) (int, *Estimate, bool) {
-	bestLevel, found := -1, false
-	var best *Estimate
-	for j := 0; j < m.NumAggregationLevels(); j++ {
-		est, err := m.WhatIf(Query{AggLevel: j, BgUtil: bg, ServerUtil: util, TotalConstraintS: totalConstraint})
-		if err != nil || !est.Feasible {
-			continue
-		}
-		if !found || est.TotalPowerW < best.TotalPowerW-1e-9 {
-			bestLevel, best, found = j, est, true
-		}
-	}
-	return bestLevel, best, found
-}
-
 // BestK sweeps K in [1, kMax] and returns the minimum-total-power feasible
 // scale factor (the planner's K-search, closed-form; ties break low).
 func (m *Model) BestK(kMax int, bg, util float64) (int, *Estimate, bool) {
