@@ -16,7 +16,8 @@
 #                     (engine scheduling/cancellation, packet forwarding
 #                     with shallow and deep FIFO queues, background
 #                     elephants packet vs fluid, FFT convolution reuse,
-#                     DVFS decide, consolidation at k=16/k=32, one query's
+#                     DVFS decide, consolidation at k=16/k=32, one
+#                     planner K-search at k=4, one query's
 #                     sub-query lifecycle on the broadcast and the R=3
 #                     hedged tier, Fig 10 end-to-end packet/fluid/k=8,
 #                     Fig 15 end-to-end).
@@ -64,12 +65,13 @@ GOFMT ?= gofmt
 # The tier-1 benchmark suite tracked across PRs: scheduler hot path,
 # packet pipeline (shallow and deep FIFO queues), background-elephant cost
 # (packet vs fluid), FFT/DVFS kernels, the consolidation kernel (Balance
-# at k=32, Greedy at k=16), the cluster query lifecycle (one query's
-# submit + drain on the broadcast tier and on the R=3 hedged tier with a
-# failed replica, both 0 allocs/op), and the Fig 10 (packet, fluid, k=8,
-# k=16, k=32) and Fig 15 end-to-end sweeps.
-BENCH_PATTERN = 'BenchmarkEngine|BenchmarkNetsimForward|BenchmarkNetsimBackground|BenchmarkFFT|BenchmarkDVFS|BenchmarkAblationConvolution|BenchmarkConsolidate|BenchmarkClusterQuery|BenchmarkFig10|BenchmarkFig15DiurnalSavings'
-BENCH_PKGS = . ./internal/sim ./internal/netsim ./internal/fft ./internal/dvfs ./internal/consolidate ./internal/cluster
+# at k=32, Greedy at k=16), one planner K-search on the k=4 diurnal flow
+# set, the cluster query lifecycle (one query's submit + drain on the
+# broadcast tier and on the R=3 hedged tier with a failed replica, both 0
+# allocs/op), and the Fig 10 (packet, fluid, k=8, k=16, k=32) and Fig 15
+# end-to-end sweeps.
+BENCH_PATTERN = 'BenchmarkEngine|BenchmarkNetsimForward|BenchmarkNetsimBackground|BenchmarkFFT|BenchmarkDVFS|BenchmarkAblationConvolution|BenchmarkConsolidate|BenchmarkPlannerPlanK|BenchmarkClusterQuery|BenchmarkFig10|BenchmarkFig15DiurnalSavings'
+BENCH_PKGS = . ./internal/sim ./internal/netsim ./internal/fft ./internal/dvfs ./internal/consolidate ./internal/core ./internal/cluster
 BENCHCOUNT ?= 3
 BENCHGUARD_PCT ?= 10
 

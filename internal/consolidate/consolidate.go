@@ -17,7 +17,7 @@ package consolidate
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"eprons/internal/flow"
 	"eprons/internal/lp"
@@ -107,6 +107,10 @@ type Result struct {
 	// Optimal is set by Exact when branch and bound proved optimality
 	// (false for Greedy/Balance results and node-limited MILP runs).
 	Optimal bool
+
+	// arena backs the node paths Greedy and Balance place; its length is
+	// the part already handed out.
+	arena topology.Path
 }
 
 // Utilization returns actual utilization (0..1+) of a directed link.
@@ -135,19 +139,32 @@ func (r *Result) PathUtilizationsInto(g *topology.Graph, id flow.ID, buf []float
 	return buf
 }
 
-// newResult validates the flows and returns them in placement order —
+// pending is one flow of the placement order: its index in the caller's
+// flow slice and its reserved bandwidth under the round's Config.
+type pending struct {
+	eff float64
+	idx int
+}
+
+// newResult validates the flows and returns their placement order —
 // descending reserved bandwidth, stable — with an empty feasible result
 // sized for g.
-func newResult(g *topology.Graph, flows []flow.Flow, cfg Config) ([]flow.Flow, *Result, error) {
-	for _, f := range flows {
+func newResult(g *topology.Graph, flows []flow.Flow, cfg Config) ([]pending, *Result, error) {
+	order := make([]pending, len(flows))
+	for i, f := range flows {
 		if err := f.Validate(); err != nil {
 			return nil, nil, err
 		}
+		order[i] = pending{eff: cfg.effective(f), idx: i}
 	}
-	order := make([]flow.Flow, len(flows))
-	copy(order, flows)
-	sort.SliceStable(order, func(i, j int) bool {
-		return cfg.effective(order[i]) > cfg.effective(order[j])
+	slices.SortStableFunc(order, func(a, b pending) int {
+		switch {
+		case a.eff > b.eff:
+			return -1
+		case a.eff < b.eff:
+			return 1
+		}
+		return 0
 	})
 	return order, emptyResult(g, len(flows)), nil
 }
@@ -176,8 +193,8 @@ func Greedy(ft Fabric, flows []flow.Flow, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	var dirs []int
-	for _, f := range order {
-		eff := cfg.effective(f)
+	for i, o := range order {
+		f, eff := flows[o.idx], o.eff
 		bestIdx, bestNew := -1, 1<<30
 		for idx, n := 0, ft.NumPaths(f.Src, f.Dst); idx < n; idx++ {
 			dirs = ft.PathDirsInto(f.Src, f.Dst, idx, dirs)
@@ -201,7 +218,7 @@ func Greedy(ft Fabric, flows []flow.Flow, cfg Config) (*Result, error) {
 			res.Unplaced = append(res.Unplaced, f.ID)
 			continue
 		}
-		dirs = commitIndex(ft, res, f, bestIdx, eff, dirs)
+		dirs = commitIndex(ft, res, f, bestIdx, eff, dirs, len(order)-i)
 	}
 	if cfg.BackupPaths {
 		activateBackups(ft, flows, cfg, res)
@@ -300,10 +317,20 @@ func newSwitches(g *topology.Graph, active *topology.ActiveSet, dirs []int) int 
 
 // commitIndex places f on the fabric's candidate idx — the only candidate
 // of the scan built as a node path — and returns its directed links in
-// the dirs scratch.
-func commitIndex(ft Fabric, res *Result, f flow.Flow, idx int, eff float64, dirs []int) []int {
+// the dirs scratch. The path is built into the result's arena and stored
+// capacity-clipped, so appending to it copies instead of overwriting the
+// next path. An arena without room for it is replaced by one sized for
+// the left flows (f included) at this path's length: a round whose paths
+// share one length allocates a single arena.
+func commitIndex(ft Fabric, res *Result, f flow.Flow, idx int, eff float64, dirs []int, left int) []int {
 	dirs = ft.PathDirsInto(f.Src, f.Dst, idx, dirs)
-	commit(res, f, ft.PathByIndexInto(f.Src, f.Dst, idx, nil), dirs, eff)
+	if n := len(dirs) + 1; cap(res.arena)-len(res.arena) < n {
+		res.arena = make(topology.Path, 0, n*left)
+	}
+	used := len(res.arena)
+	p := ft.PathByIndexInto(f.Src, f.Dst, idx, res.arena[used:])
+	res.arena = res.arena[:used+len(p)]
+	commit(res, f, p[:len(p):len(p)], dirs, eff)
 	return dirs
 }
 
@@ -331,8 +358,8 @@ func Balance(ft Fabric, flows []flow.Flow, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	var dirs []int
-	for _, f := range order {
-		eff := cfg.effective(f)
+	for i, o := range order {
+		f, eff := flows[o.idx], o.eff
 		bestIdx := -1
 		bestMax, bestSum := 0.0, 0.0
 		for idx, n := 0, ft.NumPaths(f.Src, f.Dst); idx < n; idx++ {
@@ -360,7 +387,7 @@ func Balance(ft Fabric, flows []flow.Flow, cfg Config) (*Result, error) {
 			res.Unplaced = append(res.Unplaced, f.ID)
 			continue
 		}
-		dirs = commitIndex(ft, res, f, bestIdx, eff, dirs)
+		dirs = commitIndex(ft, res, f, bestIdx, eff, dirs, len(order)-i)
 	}
 	res.NetworkPowerW = res.Active.NetworkPowerW()
 	return res, nil

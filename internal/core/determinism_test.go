@@ -50,7 +50,7 @@ func TestPlanKWorkerCountInvariance(t *testing.T) {
 		}
 		p.Workers = workers
 		dcfg := DiurnalConfig{Planner: p, BgFlows: 12}
-		flows := append(dcfg.queryFlows(0.30), dcfg.backgroundFlows(0.20)...)
+		flows := dcfg.planFlows(0.30, 0.20)
 		pl, err := p.PlanK(flows, 0.30)
 		if err != nil {
 			t.Fatal(err)

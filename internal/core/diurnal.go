@@ -58,6 +58,14 @@ type DiurnalSeries struct {
 	ServerW metrics.Series
 }
 
+// newDiurnalSeries returns an empty series with room for n points.
+func newDiurnalSeries(name string, n int) DiurnalSeries {
+	series := func() metrics.Series {
+		return metrics.Series{T: make([]float64, 0, n), V: make([]float64, 0, n)}
+	}
+	return DiurnalSeries{Name: name, TotalW: series(), NetW: series(), ServerW: series()}
+}
+
 // DiurnalResult bundles the three compared schemes plus the traces.
 type DiurnalResult struct {
 	Times      []float64
@@ -120,18 +128,12 @@ func (c *DiurnalConfig) fill() error {
 	return nil
 }
 
-// backgroundFlows builds the ordered pod-pair elephants at the given
-// fraction of link capacity.
-func (c *DiurnalConfig) backgroundFlows(frac float64) []flow.Flow {
-	ft := c.Planner.FT
-	out := ft.PodPairElephants(100000, frac*ft.Cfg.LinkCapacityBps)
-	return out[:min(len(out), c.BgFlows)]
-}
-
-// queryFlows builds the aggregated latency-sensitive pair demand for the
-// search workload at the given utilization (matching
-// cluster.QueryDemandBps: aggregate request+reply bytes per pair).
-func (c *DiurnalConfig) queryFlows(util float64) []flow.Flow {
+// planFlows builds the flow set priced at a plan point, in one slice: the
+// aggregated latency-sensitive pair demand for the search workload at
+// server utilization util (matching cluster.QueryDemandBps: aggregate
+// request+reply bytes per pair), then the ordered pod-pair elephants at
+// fraction bg of link capacity.
+func (c *DiurnalConfig) planFlows(util, bg float64) []flow.Flow {
 	ft := c.Planner.FT
 	hosts := ft.Hosts
 	// Queries/second producing this per-ISN utilization with the default
@@ -139,7 +141,7 @@ func (c *DiurnalConfig) queryFlows(util float64) []flow.Flow {
 	// so the cluster query rate equals the per-server sub-query rate.
 	qps := util * 12 / 4e-3
 	perPair := qps / float64(len(hosts)) * (1500 + 6000) * 8
-	var out []flow.Flow
+	out := make([]flow.Flow, 0, len(hosts)*(len(hosts)-1)+c.BgFlows)
 	for i := range hosts {
 		for j := range hosts {
 			if i == j {
@@ -154,7 +156,8 @@ func (c *DiurnalConfig) queryFlows(util float64) []flow.Flow {
 			})
 		}
 	}
-	return out
+	bgFlows := ft.PodPairElephants(100000, bg*ft.Cfg.LinkCapacityBps)
+	return append(out, bgFlows[:min(len(bgFlows), c.BgFlows)]...)
 }
 
 // diurnalStep is one sampled instant of the shared trace grid.
@@ -164,7 +167,7 @@ type diurnalStep struct {
 
 // steps samples the traces once; all three schemes replay the same grid.
 func (c *DiurnalConfig) steps() []diurnalStep {
-	var out []diurnalStep
+	out := make([]diurnalStep, 0, int(c.DurationS/c.StepS)+1)
 	for t := 0.0; t < c.DurationS; t += c.StepS {
 		load := c.SearchTrace.At(t)
 		out = append(out, diurnalStep{
@@ -189,7 +192,7 @@ func (cfg *DiurnalConfig) runEPRONS(steps []diurnalStep, out *DiurnalSeries) err
 		if st.t >= nextPlanAt || plan == nil {
 			// The flow set only matters at a plan point; most steps
 			// replay the standing plan.
-			flows := append(cfg.queryFlows(st.util), cfg.backgroundFlows(st.bg)...)
+			flows := cfg.planFlows(st.util, st.bg)
 			newPlan, err := p.PlanK(flows, st.util)
 			if err == nil {
 				plan = newPlan
@@ -247,13 +250,17 @@ func RunDiurnal(cfg DiurnalConfig) (*DiurnalResult, error) {
 		return nil, err
 	}
 	p := cfg.Planner
-	res := &DiurnalResult{
-		EPRONS:     DiurnalSeries{Name: "EPRONS"},
-		TimeTrader: DiurnalSeries{Name: "TimeTrader"},
-		NoPM:       DiurnalSeries{Name: "no power management"},
-	}
 	fullPower := topology.NewActiveSet(p.FT.Graph).NetworkPowerW()
 	steps := cfg.steps()
+	n := len(steps)
+	res := &DiurnalResult{
+		Times:      make([]float64, 0, n),
+		SearchLoad: make([]float64, 0, n),
+		BgLoad:     make([]float64, 0, n),
+		EPRONS:     newDiurnalSeries("EPRONS", n),
+		TimeTrader: newDiurnalSeries("TimeTrader", n),
+		NoPM:       newDiurnalSeries("no power management", n),
+	}
 	for _, st := range steps {
 		res.Times = append(res.Times, st.t)
 		res.SearchLoad = append(res.SearchLoad, st.load)

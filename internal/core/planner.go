@@ -233,7 +233,7 @@ func (p *Planner) EvaluateCandidate(k int, res *consolidate.Result, flows []flow
 // identical for any worker count, with ties broken toward the lowest K.
 func (p *Planner) PlanK(flows []flow.Flow, util float64) (*Plan, error) {
 	cands, err := parallel.Map(p.Cfg.KMax, p.Workers, func(i int) (*Plan, error) {
-		return p.planOneK(i+1, flows, util)
+		return p.planOneK(i+1, flows, util, 0)
 	})
 	if err != nil {
 		return nil, err
@@ -255,8 +255,9 @@ func (p *Planner) PlanK(flows []flow.Flow, util float64) (*Plan, error) {
 
 // planOneK consolidates and prices a single candidate scale factor. It
 // returns (nil, nil) for an infeasible consolidation so the reduction can
-// skip it, matching the sequential loop's continue.
-func (p *Planner) planOneK(k int, flows []flow.Flow, util float64) (*Plan, error) {
+// skip it, matching the sequential loop's continue. networkPowerW prices a
+// fixed powered subnet; 0 prices the consolidation's own.
+func (p *Planner) planOneK(k int, flows []flow.Flow, util, networkPowerW float64) (*Plan, error) {
 	cfg := consolidate.Config{ScaleK: float64(k), SafetyMarginBps: p.Cfg.SafetyMarginBps}
 	res, err := consolidate.Greedy(p.FT, flows, cfg)
 	if err != nil {
@@ -265,7 +266,10 @@ func (p *Planner) planOneK(k int, flows []flow.Flow, util float64) (*Plan, error
 	if !res.Feasible {
 		return nil, nil
 	}
-	return p.evaluate(k, res, flows, util, p.Cfg.ServerBudget, res.NetworkPowerW), nil
+	if networkPowerW == 0 {
+		networkPowerW = res.NetworkPowerW
+	}
+	return p.evaluate(k, res, flows, util, p.Cfg.ServerBudget, networkPowerW), nil
 }
 
 // PlanAggregation evaluates one Fig 9 aggregation policy under a total
@@ -309,22 +313,12 @@ func (p *Planner) Optimize(flows []flow.Flow) (*consolidate.Result, error) {
 // feasible K (maximum spreading ≈ ECMP), used for the TimeTrader and no-PM
 // baselines of Fig 15.
 func (p *Planner) FullTopologyPlan(flows []flow.Flow, util float64) (*Plan, error) {
-	full := topology.NewActiveSet(p.FT.Graph)
-	fullPower := full.NetworkPowerW()
+	fullPower := topology.NewActiveSet(p.FT.Graph).NetworkPowerW()
 	// Candidate i evaluates K = KMax-i; the reduction takes the first
 	// feasible candidate in that order, i.e. the highest feasible K — the
 	// same plan the sequential countdown returned.
 	cands, err := parallel.Map(p.Cfg.KMax, p.Workers, func(i int) (*Plan, error) {
-		k := p.Cfg.KMax - i
-		cfg := consolidate.Config{ScaleK: float64(k), SafetyMarginBps: p.Cfg.SafetyMarginBps}
-		res, err := consolidate.Greedy(p.FT, flows, cfg)
-		if err != nil {
-			return nil, err
-		}
-		if !res.Feasible {
-			return nil, nil
-		}
-		return p.evaluate(k, res, flows, util, p.Cfg.ServerBudget, fullPower), nil
+		return p.planOneK(p.Cfg.KMax-i, flows, util, fullPower)
 	})
 	if err != nil {
 		return nil, err
